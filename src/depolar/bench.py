@@ -59,6 +59,8 @@ def complex_dual_to(P):
 def _measure_cell(family, params, size_res):
     J = FAMILIES[family](**params)
     out = {"n": J.n, "gens_J": len(J.gens)}
+    # untimed: the first dual in a fresh process pays a one-off warm-up
+    alexander_dual_ideal(FAMILIES["power"](n=2, k=2))
     t0 = time.perf_counter()
     Jdual = alexander_dual_ideal(J)
     out["t_Jdual_ms"] = (time.perf_counter() - t0) * 1000.0

@@ -67,12 +67,12 @@ def complex_text(cx):
     return "\n".join("{" + ", ".join(cx.names_of(f)) + "}" for f in cx.facets) + "\n"
 
 
-def parse_exponents(text, n):
+def parse_exponents(text, n=None):
     try:
         vec = tuple(int(t) for t in text.split(","))
     except ValueError:
-        raise InputError(f"bad exponent vector {text!r}")
-    if len(vec) != n:
+        raise InputError(f"bad integer list {text!r}") from None
+    if n is not None and len(vec) != n:
         raise InputError(f"expected {n} exponents, got {len(vec)}")
     return vec
 
@@ -87,7 +87,7 @@ def cmd_gen(args):
         kwargs["k"] = args.k
     elif args.family == "jknm":
         if args.seq:
-            kwargs["seq"] = tuple(int(t) for t in args.seq.split(","))
+            kwargs["seq"] = parse_exponents(args.seq)
     elif args.family == "random":
         kwargs.update(max_gens=args.max_gens, max_exp=args.max_exp,
                       seed=args.seed)

@@ -7,11 +7,9 @@ import numpy as np
 
 from .complexes import SimplicialComplex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import (_minimal_masks_np, _popcount, _superset_of_any,
-                         minimal_transversals, transversal_masks)
+from .hypergraph import berge_fold, block_popcounts
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, check_exponent,
-                     divides, divisible_by_any, minimal_rows, support,
-                     total_degree)
+                     divides, support, total_degree)
 from .polarization import PolarVariableMap
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -30,91 +28,15 @@ def a_minus(a, nu):
     return tuple(out)
 
 
-def _fold_dual(gens, a, cap=None):
-    """Intersect the irreducible duals m^(a minus g), smallest degree first.
-
-    State T is the minimal generating set so far.  Generators of T already
-    inside the next irreducible ideal survive as they are; the rest get each
-    coordinate of the new bound joined in, then lose non-minimal rows.
-    """
-    order = sorted(gens, key=lambda g: (total_degree(g), g))
-    n = len(a)
-    T = None
-    for g in order:
-        v = np.array(a_minus(a, g), dtype=np.int64)
-        s = np.flatnonzero(v)
-        if T is None:
-            T = np.zeros((len(s), n), dtype=np.int64)
-            T[np.arange(len(s)), s] = v[s]
-            continue
-        hit = (T[:, s] >= v[s]).any(axis=1)
-        t_hit, t_miss = T[hit], T[~hit]
-        if not len(t_miss):
-            continue
-        cands = []
-        for i in s:
-            C = t_miss.copy()
-            C[:, i] = np.maximum(C[:, i], v[i])
-            cands.append(C)
-        N = np.unique(np.vstack(cands), axis=0)
-        if len(t_hit):
-            N = N[~divisible_by_any(N, t_hit)]
-        N = minimal_rows(N)
-        T = np.vstack([t_hit, N])
-        if cap is not None and len(T) > cap:
-            raise ResourceLimit(f"dual generator count exceeds cap {cap}")
-    return sorted(tuple(map(int, row)) for row in T)
-
-
-def _packed_fold_dual(gens, a, cap=None):
-    """The same fold, bit-packed when the slot budget sum(a) fits one word.
-
-    A monomial t <= a becomes the mask with the low t_i bits of block i set,
-    so divisibility is mask containment, total degree is popcount, and
-    joining coordinate i up to level v is an OR with a prefix mask.
-    """
-    zero, one, full = np.uint64(0), np.uint64(1), np.uint64(2 ** 64 - 1)
-    w64 = np.uint64(64)
-    av = np.asarray(a, dtype=np.uint64)
-    offsets = np.concatenate([[0], np.cumsum(av)[:-1]]).astype(np.uint64)
-    G = np.array(sorted(gens, key=lambda g: (total_degree(g), g)),
-                 dtype=np.uint64)
-    active = G > 0
-    # hit bit of generator g at i sits at level a_i + 1 - g_i of block i;
-    # shift arguments are clamped where inactive since np.where still
-    # evaluates the discarded branch
-    pos = np.where(active, offsets + av - G, zero)
-    edges = np.bitwise_or.reduce(np.where(active, one << pos, zero), axis=1)
-    v = np.where(active, av - G + one, one)
-    prefix = np.where(active, (full >> (w64 - v)) << offsets, zero)
-    T = np.zeros(1, dtype=np.uint64)
-    for j in range(len(G)):
-        hit = (T & edges[j]) != zero
-        t_hit, t_miss = T[hit], T[~hit]
-        if len(t_miss) == 0:
-            continue
-        pj = prefix[j][active[j]]
-        cand = _minimal_masks_np((t_miss[:, None] | pj[None, :]).ravel())
-        if len(t_hit):
-            cand = cand[~_superset_of_any(cand, t_hit)]
-        T = np.concatenate([t_hit, cand])
-        if cap is not None and len(T) > cap:
-            raise ResourceLimit(f"dual generator count exceeds cap {cap}")
-    width = np.where(av > 0, av, one)
-    blockmasks = np.where(av > 0, (full >> (w64 - width)) << offsets, zero)
-    exps = _popcount(T[:, None] & blockmasks[None, :])
-    return sorted(tuple(map(int, row)) for row in exps)
-
-
 def alexander_dual_ideal(I, a=None, cap=None):
     """Minimal generators of the Alexander dual of I with respect to a.
 
-    a defaults to the lcm exponent of I and must dominate it.  The
-    irreducible intersection is folded generator by generator in ascending
-    total degree; when the bound fits 64 level slots the fold runs on
-    bit-packed exponents, a squarefree bound in more variables falls back
-    to the transversal hypergraph of the generator supports, and anything
-    larger uses plain integer rows.
+    a defaults to the lcm exponent of I and must dominate it.  The dual is
+    the intersection of the irreducible ideals m^(a minus g); g's ideal
+    holds t when t_i >= a_i + 1 - g_i for some i in supp(g).  Variable i
+    gets one slot per distinct level its generators ask for, at most a_i,
+    and t sets the slots of block i up to t_i.  hypergraph.berge_fold
+    folds the generators in by ascending total degree on W-word bitsets.
     """
     if I.is_zero:
         raise InputError("the zero ideal dualizes to the unit ideal")
@@ -125,15 +47,22 @@ def alexander_dual_ideal(I, a=None, cap=None):
         a = check_exponent(a, I.n)
         if not divides(mu, a):
             raise InputError(f"dual bound {a} must dominate {mu}")
-    if sum(a) <= 64:
-        gens = _packed_fold_dual(I.gens, a, cap)
-    elif max(a) <= 1:
-        masks = transversal_masks(
-            (sum(1 << i for i in support(g)) for g in I.gens), I.n, cap)
-        gens = sorted(tuple((m >> i) & 1 for i in range(I.n)) for m in masks)
-    else:
-        gens = _fold_dual(I.gens, a, cap)
-    return MonomialIdeal(I.ring, gens)
+    G = np.array(sorted(I.gens, key=lambda g: (total_degree(g), g)),
+                 dtype=np.int64)
+    used = G > 0
+    # key = variable * base + level; the sorted used keys number the slots
+    base = max(a) + 2
+    key = np.arange(I.n) * base + (np.array(a, dtype=np.int64) + 1 - G)
+    keys = np.unique(key[used])
+    block, level = np.divmod(keys, base)
+    T = berge_fold(np.where(used, np.searchsorted(keys, key), -1),
+                   np.searchsorted(block, block), cap)
+    lo = np.searchsorted(block, np.arange(I.n))
+    hi = np.searchsorted(block, np.arange(I.n), side="right")
+    filled = block_popcounts(T, lo.tolist(), hi.tolist())
+    # the top slot set in block i holds t_i
+    exps = np.where(filled > 0, level[lo + filled - 1], 0)
+    return MonomialIdeal(I.ring, sorted(map(tuple, exps.tolist())))
 
 
 def expansion_set(nu, mu):

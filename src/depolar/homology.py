@@ -7,11 +7,20 @@ complexes: beta_{i,mu} = dim H~_{i-1}(K^mu_I), summed over the lcm lattice.
 from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from math import isqrt
 
 from .complexes import DEFAULT_FACE_CAP, koszul_complex
-from .ideals import DEFAULT_LATTICE_CAP, InputError, total_degree
+from .ideals import (DEFAULT_LATTICE_CAP, InputError, Ring, check_exponent,
+                     total_degree)
 
 DEFAULT_PRIME = 32003
+
+
+def check_modulus(p):
+    """Ranks are over Q for p None, else over F_p for a prime p < 2^31."""
+    if p is not None and not (type(p) is int and 2 <= p < 2 ** 31 and all(
+            p % d for d in range(2, isqrt(p) + 1))):
+        raise InputError(f"modulus {p!r} is not a prime below 2^31")
 
 
 def _boundary_columns(lower, upper):
@@ -70,6 +79,7 @@ def reduced_homology_dims(cx, face_cap=DEFAULT_FACE_CAP, p=None):
     Uses augmented boundary maps, so the irrelevant complex has H~_{-1} = 1
     and any nonempty complex has H~_{-1} = 0.  The void complex returns [].
     """
+    check_modulus(p)
     faces = cx.faces_by_dim(face_cap)
     if not faces:
         return []
@@ -132,11 +142,17 @@ class BettiTable:
 
     @classmethod
     def from_dict(cls, data):
-        from .ideals import Ring
-        entries = {(e["i"], tuple(e["degree"])): e["value"]
-                   for e in data["entries"]}
-        return cls(Ring(tuple(data["variables"])), entries,
-                   data.get("convention", "ideal"))
+        try:
+            ring = Ring(tuple(data["variables"]))
+            entries = {}
+            for e in data["entries"]:
+                i, value = check_exponent((e["i"], e["value"]), 2)
+                entries[(i, check_exponent(e["degree"], ring.n))] = value
+            convention = data.get("convention", "ideal")
+        except (KeyError, TypeError, AttributeError):
+            raise InputError("Betti JSON needs 'variables' and 'entries' "
+                             "of 'i', 'degree' and 'value'") from None
+        return cls(ring, entries, convention)
 
     def diagram(self):
         """Macaulay2-style diagram: row j - i, column i."""

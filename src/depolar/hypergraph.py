@@ -1,7 +1,15 @@
-"""Minimal transversals of hypergraphs by Berge multiplication.
+"""Minimal transversals and Alexander duals by one Berge fold over bitsets.
 
-Vertex sets are bitmasks.  Up to 64 vertices the state lives in numpy uint64
-arrays; above that a plain Python fallback keeps the same algorithm correct.
+A slot set is a W-word bitset, W = ceil(slots / 64): slot s is bit s % 64
+of word s // 64.  An array of N bitsets is stored word-major, shape (W, N)
+uint64, so each numpy pass runs over one contiguous row of words, and a
+single word costs the same operations as a plain uint64 mask.
+
+Slots come in blocks, one per variable with one slot per exponent level.
+A monomial is the mask that sets each block up to its level there, so
+divisibility is containment, the level is the block's popcount, and raising
+a coordinate to a level is an OR with a block prefix.  A vertex set is the
+case of one slot per block.
 """
 
 import numpy as np
@@ -22,6 +30,15 @@ except AttributeError:  # numpy < 2.0
         x = (x + (x >> np.uint64(4))) & _M4
         return (x * _H) >> np.uint64(56)
 
+# _LOW[k] sets the low k bits of a word, k = 0..64
+_LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+_WORD = (1 << 64) - 1
+
+
+def _low(k):
+    """Words with the low k bits set, k clamped to 0..64."""
+    return _LOW[np.minimum(np.maximum(k, 0), 64)]
+
 
 def bits_of(mask):
     out = []
@@ -32,38 +49,54 @@ def bits_of(mask):
     return out
 
 
-def _superset_of_any(cand, keep):
-    """Mask over cand: some element of keep is a subset of the candidate."""
-    out = np.zeros(len(cand), dtype=bool)
-    if len(cand) == 0 or len(keep) == 0:
-        return out
-    step = max(1, 4_000_000 // len(keep))
-    for lo in range(0, len(cand), step):
-        block = cand[lo:lo + step]
-        out[lo:lo + step] = ((keep[None, :] & block[:, None]) == keep[None, :]).any(1)
+def to_words(masks, W):
+    """(W, N) uint64 array of Python int masks below 2^(64 W)."""
+    return np.array([[m >> (64 * w) & _WORD for m in masks] for w in range(W)],
+                    dtype=np.uint64).reshape(W, -1)
+
+
+def from_words(arr):
+    """Python int masks of the columns of a (W, N) array."""
+    rows = arr.tolist()
+    out = rows[0]
+    for w in range(1, len(rows)):
+        out = [lo | hi << (64 * w) for lo, hi in zip(out, rows[w])]
     return out
 
 
-def _minimal_masks_np(arr):
-    """Inclusion-minimal masks among uint64 masks; dedups its input."""
-    arr = np.unique(arr)
-    if len(arr) <= 1:
-        return arr
-    if len(arr) <= 512:
-        # one pairwise subset matrix beats the bucket loop on small inputs
-        sub = (arr[:, None] & arr[None, :]) == arr[None, :]
-        return arr[sub.sum(axis=1) == 1]
-    counts = _popcount(arr)
-    order = np.argsort(counts, kind="stable")
-    arr, counts = arr[order], counts[order]
-    cuts = np.flatnonzero(np.diff(counts)) + 1
-    kept = []
-    for bucket in np.split(arr, cuts):
-        if kept:
-            bucket = bucket[~_superset_of_any(bucket, np.concatenate(kept))]
-        if len(bucket):
-            kept.append(bucket)
-    return np.concatenate(kept)
+def block_popcounts(arr, lo, hi):
+    """(N, B) bits set in each column of a (W, N) array within each slot
+    range lo[b] <= s < hi[b]."""
+    blocks = to_words([(1 << h) - (1 << l) for l, h in zip(lo, hi)], len(arr))
+    out = np.zeros((arr.shape[1], len(lo)), dtype=np.int64)
+    for w in range(len(arr)):
+        out += _popcount(arr[w][:, None] & blocks[w][None, :])
+    return out
+
+
+def _contains(cand, keep):
+    """Boolean (len(cand), len(keep)): column j of keep is a subset of
+    column i of cand, tested word by word."""
+    out = (cand[0][:, None] & keep[0]) == keep[0]
+    for w in range(1, len(cand)):
+        out &= (cand[w][:, None] & keep[w]) == keep[w]
+    return out
+
+
+def _subsets(cand, keep, reduce=np.logical_or.reduce):
+    """reduce over the columns of keep inside each column of cand: by
+    default whether there is one, with np.add.reduce how many.  Chunks keep
+    the temporaries of all W words near 32 MB."""
+    if cand.shape[1] * keep.size <= 4_000_000:
+        return reduce(_contains(cand, keep), axis=1)
+    step = max(1, 4_000_000 // keep.size)
+    return np.concatenate([reduce(_contains(cand[:, i:i + step], keep), axis=1)
+                           for i in range(0, cand.shape[1], step)])
+
+
+def minimal_columns(arr):
+    """Inclusion-minimal columns of a (W, N) array of distinct bitsets."""
+    return arr.compress(_subsets(arr, arr, np.add.reduce) == 1, axis=1)
 
 
 def minimal_masks(masks):
@@ -71,15 +104,8 @@ def minimal_masks(masks):
     masks = sorted(set(masks))
     if len(masks) <= 1:
         return masks
-    if masks[-1] < 1 << 64:
-        arr = _minimal_masks_np(np.array(masks, dtype=np.uint64))
-        return sorted(int(x) for x in arr)
-    by_count = sorted(masks, key=lambda m: (m.bit_count(), m))
-    kept = []
-    for m in by_count:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return sorted(kept)
+    arr = to_words(masks, -(-masks[-1].bit_length() // 64))
+    return from_words(minimal_columns(arr))
 
 
 def maximal_masks(masks, nverts):
@@ -88,56 +114,75 @@ def maximal_masks(masks, nverts):
     return sorted(full ^ m for m in minimal_masks(full ^ m for m in masks))
 
 
-def _transversals_np(edges, cap):
-    T = np.zeros(1, dtype=np.uint64)
-    for e in edges:
-        eu = np.uint64(e)
-        hit = (T & eu) != 0
-        t_hit, t_miss = T[hit], T[~hit]
-        if len(t_miss) == 0:
-            continue
-        bits = np.array([1 << v for v in bits_of(e)], dtype=np.uint64)
-        cand = _minimal_masks_np((t_miss[:, None] | bits[None, :]).ravel())
-        if len(t_hit):
-            cand = cand[~_superset_of_any(cand, t_hit)]
-        T = np.concatenate([t_hit, cand])
-        if cap is not None and len(T) > cap:
-            raise ResourceLimit(f"transversal count exceeds cap {cap}")
-    return sorted(int(x) for x in T)
+def berge_fold(hits, starts, cap=None):
+    """Minimal block-prefix masks that meet every row of hits.
 
-
-def _transversals_py(edges, cap):
-    T = [0]
-    for e in edges:
-        t_hit = [t for t in T if t & e]
-        t_miss = [t for t in T if not t & e]
-        if not t_miss:
+    Row j of hits lists slots in distinct blocks, padded with -1, and a
+    mask meets it by setting one of them; starts[s] is the first slot of
+    the block holding slot s, and len(starts) is the slot count.  Rows are
+    folded in one at a time in the given order (Berge multiplication): the
+    masks that meet the row survive as they are, each of the rest is
+    joined with the block prefix up to every slot of the row, and a join
+    is dropped when it contains a survivor or another join.  Returns the
+    minimal masks as a (W, N) array.
+    """
+    # slots first in each row, so row j's prefixes are prefix[:, j, :size[j]];
+    # a -1 pad gets an empty prefix and adds nothing to the row's edge
+    hits = np.sort(np.asarray(hits, dtype=np.int64), axis=1)[:, ::-1]
+    starts = np.asarray(starts, dtype=np.int64)
+    first = starts[hits]
+    W = max(1, -(-len(starts) // 64))
+    edges = np.empty((W, len(hits)), dtype=np.uint64)
+    prefix = np.empty((W,) + hits.shape, dtype=np.uint64)
+    for w in range(W):
+        top = _low(hits + 1 - 64 * w)
+        prefix[w] = top & ~_low(first - 64 * w)
+        edges[w] = np.bitwise_or.reduce(top ^ _low(hits - 64 * w), axis=1)
+    # Joins from different slots of a row never nest, since a mask that
+    # misses the row stays below each of its slots.  Joins from one slot
+    # nest only when two masks below it differ inside its block, which
+    # needs a prefix longer than one slot and at least two such masks.
+    deep = (hits > first).any(axis=1).tolist()
+    size = (hits >= 0).sum(axis=1).tolist()
+    zero = np.uint64(0)
+    T = np.zeros((W, 1), dtype=np.uint64)
+    for j in range(len(hits)):
+        hit = (T[0] & edges[0, j]) != zero
+        for w in range(1, W):
+            hit |= (T[w] & edges[w, j]) != zero
+        t_miss = T.compress(~hit, axis=1)
+        if not t_miss.shape[1]:
             continue
-        cand = {t | (1 << v) for t in t_miss for v in bits_of(e)}
-        cand = [c for c in cand if not any(h & c == h for h in t_hit)]
-        T = t_hit + minimal_masks(cand)
-        if cap is not None and len(T) > cap:
-            raise ResourceLimit(f"transversal count exceeds cap {cap}")
-    return sorted(T)
+        t_hit = T.compress(hit, axis=1)
+        pj = prefix[:, j, :size[j]]
+        cand = (t_miss[:, :, None] | pj[:, None, :]).reshape(W, -1)
+        if deep[j] and t_miss.shape[1] > 1:
+            cand = minimal_columns(cand)
+        cand = cand.compress(~_subsets(cand, t_hit), axis=1)
+        T = np.concatenate([t_hit, cand], axis=1)
+        if cap is not None and T.shape[1] > cap:
+            raise ResourceLimit(f"{T.shape[1]} minimal masks exceed cap {cap}")
+    return T
 
 
 def transversal_masks(edge_masks, nverts, cap=None):
     """All inclusion-minimal transversal masks of the given edge masks.
 
-    Processes edges small-first after dropping redundant superset edges;
-    an empty edge can never be met.  No edges at all admit the empty
-    transversal.
+    The fold with one slot per vertex, over the minimal edges in ascending
+    mask order: once every edge inside the first k vertices is in, the
+    state is the transversal set of those edges, never larger than the
+    final one.  An empty edge can never be met; no edges at all admit the
+    empty transversal.
     """
     edge_masks = list(edge_masks)
     if any(e == 0 for e in edge_masks):
         raise InputError("an empty edge has no transversal")
     if not edge_masks:
         return [0]
-    edges = minimal_masks(edge_masks)
-    edges.sort(key=lambda m: (m.bit_count(), m))
-    if nverts <= 64:
-        return _transversals_np(edges, cap)
-    return _transversals_py(edges, cap)
+    edges = [bits_of(e) for e in minimal_masks(edge_masks)]
+    width = max(map(len, edges))
+    hits = [e + [-1] * (width - len(e)) for e in edges]
+    return sorted(from_words(berge_fold(hits, np.arange(nverts), cap)))
 
 
 def minimal_transversals(edges, nverts=None, cap=None):

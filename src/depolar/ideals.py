@@ -5,6 +5,7 @@ minimal generating set G(I), canonically sorted, so equality of ideals is
 equality of the stored tuples.
 """
 
+import operator
 import re
 
 import numpy as np
@@ -87,11 +88,15 @@ def is_squarefree_exponent(m):
 
 
 def check_exponent(m, n):
-    """Validate and normalize one exponent vector of length n."""
+    """Validate and normalize one exponent vector of length n: integers
+    (numpy ones too), never floats, strings or bools."""
     try:
-        m = tuple(int(e) for e in m)
-    except (TypeError, ValueError):
-        raise InputError(f"bad exponent vector {m!r}")
+        m = tuple(m)
+        if any(isinstance(e, bool) for e in m):
+            raise TypeError
+        m = tuple(map(operator.index, m))
+    except TypeError:
+        raise InputError(f"bad exponent vector {m!r}") from None
     if len(m) != n:
         raise InputError(f"exponent vector {m} has length {len(m)}, expected {n}")
     if any(e < 0 or e > MAX_EXPONENT for e in m):

@@ -100,11 +100,14 @@ def dual_ideal(gens, a=None):
     if a is None:
         a = tuple(max(g[i] for g in gens) for i in range(len(gens[0])))
     duals = [a_minus(a, g) for g in gens]
-    inside = []
-    for m in monomials_below(a):
-        if all(any(v[i] > 0 and m[i] >= v[i] for i in range(len(a))) for v in duals):
-            inside.append(m)
-    return minimal_elements(inside)
+    inside = {m for m in monomials_below(a)
+              if all(any(v[i] > 0 and m[i] >= v[i] for i in range(len(a)))
+                     for v in duals)}
+    # inside is closed upward within the box, so m is minimal exactly when
+    # no single step down stays inside
+    return sorted(m for m in inside
+                  if not any(m[i] and m[:i] + (m[i] - 1,) + m[i + 1:] in inside
+                             for i in range(len(a))))
 
 
 def closure_faces(facets):

@@ -213,3 +213,16 @@ def test_error_exit_codes(tmp_path, capsys):
     assert cli.main(["gen", "--family", "power", "--n", "3", "--k", "2",
                      "--format", "csv"]) == 2
     capsys.readouterr()
+    cx = write_json(tmp_path, "cx.json", {"vertices": ["a", "b"],
+                                          "facets": [["a"], ["b"]]})
+    floats = write_json(tmp_path, "floats.json", {
+        "variables": ["x", "y"], "generators": [[1.5, 0], [True, 2]]})
+    bad_input = [["homology", "--in", cx, "--mod", m] for m in
+                 ("0", "1", "4", "-3")]
+    bad_input += [["betti", "--in", src, "--mod", m] for m in ("0", "4")]
+    bad_input += [["gen", "--family", "jknm", "--n", "4", "--seq", "a,b"],
+                  ["dual-ideal", "--in", floats]]
+    for argv in bad_input:
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, argv

@@ -116,6 +116,24 @@ def test_depolarized_complement_has_circle_homology_shape():
     assert koszul_complex(D.ideal).f_vector() == (1, 3, 3)
 
 
+def test_normalize_masks_past_64_bits(rng):
+    n = 140
+    verts = [f"v{i}" for i in range(n)]
+    fixed = [1 << 64, 1 << 64 | 1 << 3, 1 << 63 | 1 << 64, 1 << 63,
+             1 << 128 | 1 << 127, 1 << 139 | 1 << 0, 1 << 127]
+    cx = SimplicialComplex.normalize(verts, fixed)
+    assert cx.facets == (1 << 64 | 1 << 3, 1 << 63 | 1 << 64,
+                         1 << 128 | 1 << 127, 1 << 139 | 1)
+    for _ in range(30):
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 6))]
+        masks += [m & rng.getrandbits(n) for m in masks]
+        cx = SimplicialComplex.normalize(verts, masks)
+        sets = [[i for i in range(n) if m >> i & 1] for m in masks]
+        got = sorted((frozenset(i for i in range(n) if f >> i & 1)
+                      for f in cx.facets), key=oracles.set_key)
+        assert got == oracles.maximal_sets(sets)
+
+
 def test_stanley_reisner_inverse_pair(rng):
     for _ in range(150):
         n = rng.randint(2, 6)

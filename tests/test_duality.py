@@ -1,12 +1,13 @@
 """Alexander duals: folds, expansion through a depolarization, pipeline."""
 
+import itertools
+
 import pytest
 
 import oracles
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.duality import (a_minus, alexander_dual_ideal, expansion_set,
-                             repolarize_dual, dual_complex_via_depolarization,
-                             _fold_dual, _packed_fold_dual)
+                             repolarize_dual, dual_complex_via_depolarization)
 from depolar.hypergraph import minimal_transversals
 from depolar.polarization import polarize_ideal
 from depolar.depolarization import depolarize
@@ -68,19 +69,58 @@ def test_dual_matches_oracle(rng):
         assert alexander_dual_ideal(D, a=a) == I
 
 
-def test_fold_engines_agree(rng):
-    for _ in range(120):
-        I = random_ideal(rng, rng.randint(1, 5), rng.randint(1, 6), 4)
-        a = I.lcm_exponent()
-        assert sum(a) <= 64
-        assert _packed_fold_dual(I.gens, a) == _fold_dual(I.gens, a)
+def staircase(rng, steps, spread):
+    """2-variable ideal with the given number of generators, every exponent
+    distinct and nonzero, drawn from 1..steps + spread."""
+    xs = sorted(rng.sample(range(1, steps + spread + 1), steps))
+    ys = sorted(rng.sample(range(1, steps + spread + 1), steps), reverse=True)
+    return MonomialIdeal.from_gens(Ring(["x", "y"]), list(zip(xs, ys)))
+
+
+def level_slots(I):
+    """Distinct nonzero exponents per variable, summed: the slots the fold
+    gives the dual of I, 64 to a word."""
+    return sum(len({g[i] for g in I.gens} - {0}) for i in range(I.n))
+
+
+def test_dual_matches_oracle_across_words(rng):
+    words = set()
+    cases = [staircase(rng, steps, rng.randint(0, 12))
+             for steps in (31, 32, 33, 40, 63, 64, 65, 70)]
+    # few generators with large exponents: sum(mu) past 64 and 128
+    for _ in range(12):
+        n = rng.randint(2, 3)
+        top = 70 if n == 2 else 48
+        cases.append(random_ideal(rng, n, rng.randint(1, 4), top))
+    sums = set()
+    for I in cases:
+        words.add(-(-level_slots(I) // 64))
+        sums.add(sum(I.lcm_exponent()) // 64)
+        D = alexander_dual_ideal(I)
+        assert list(D.gens) == oracles.dual_ideal(list(I.gens))
+        assert alexander_dual_ideal(D, a=I.lcm_exponent()) == I
+    assert words == {1, 2, 3}
+    assert {0, 1, 2} <= sums
+    I = cases[-1]
+    a = tuple(e + rng.randint(0, 3) for e in I.lcm_exponent())
+    assert list(alexander_dual_ideal(I, a=a).gens) == \
+        oracles.dual_ideal(list(I.gens), a)
+
+
+def test_dual_of_huge_exponents():
+    R = Ring(["x", "y"])
+    I = MonomialIdeal.from_gens(R, [(2 ** 31, 0), (5, 7)])
+    D = alexander_dual_ideal(I)
+    # <x> meets <x^(2^31 - 4), y> in <x y, x^(2^31 - 4)>
+    assert D.gens == ((1, 1), (2 ** 31 - 4, 0))
+    assert alexander_dual_ideal(D, a=I.lcm_exponent()) == I
 
 
 def test_dispatch_width_edges():
     R1 = Ring(["x"])
     assert alexander_dual_ideal(MonomialIdeal.from_gens(R1, [(64,)])).gens == ((1,),)
     R2 = Ring(["x", "y"])
-    # sum(a) = 64 runs packed, 65 runs the plain fold; same answer
+    # sum(a) = 64 and 65 once took different kernels; one fold gives both
     assert alexander_dual_ideal(
         MonomialIdeal.from_gens(R2, [(63, 1)])).gens == ((0, 1), (1, 0))
     assert alexander_dual_ideal(
@@ -88,13 +128,28 @@ def test_dispatch_width_edges():
 
 
 def test_squarefree_wide_ring_path():
-    # 70 squarefree variables exceed the packed budget and the 64-bit mask
+    # 70 squarefree variables, of which the generators use 4
     R = Ring([f"x{i}" for i in range(1, 71)])
     g = lambda *idx: tuple(1 if i in idx else 0 for i in range(70))
     I = MonomialIdeal.from_gens(R, [g(0, 1), g(2, 3)])
     D = alexander_dual_ideal(I)
     supports = sorted(tuple(i for i, e in enumerate(m) if e) for m in D.gens)
     assert supports == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+def test_squarefree_dual_past_64_variables():
+    # two disjoint supports over 70 variables: 70 slots, two words
+    n = 70
+    R = Ring([f"x{i}" for i in range(n)])
+    halves = [tuple(int(i < 35) for i in range(n)),
+              tuple(int(i >= 35) for i in range(n))]
+    D = alexander_dual_ideal(MonomialIdeal.from_gens(R, halves))
+    want = sorted(tuple(int(k in (i, j)) for k in range(n))
+                  for i in range(35) for j in range(35, n))
+    assert list(D.gens) == want
+    whole = MonomialIdeal.from_gens(R, [(1,) * n])
+    assert alexander_dual_ideal(whole).gens == tuple(
+        sorted(tuple(int(k == i) for k in range(n)) for i in range(n)))
 
 
 def test_dual_respects_cap():
@@ -167,6 +222,18 @@ def test_minimal_transversals_matches_oracle(rng):
         got = sorted((frozenset(t) for t in minimal_transversals(edges, nverts)),
                      key=oracles.set_key)
         assert got == oracles.transversals(edges, nverts)
+
+
+def test_transversals_across_word_boundaries():
+    # disjoint edges: the minimal transversals pick one vertex from each
+    edges = [(0, 1), (62, 63, 64, 65), (126, 127, 128, 129), (190, 191)]
+    for nverts in (192, 200):
+        got = sorted(minimal_transversals(edges, nverts))
+        assert got == sorted(itertools.product(*edges))
+    assert sorted(minimal_transversals([(63, 64), (64, 127, 128)], 129)) == \
+        [(63, 127), (63, 128), (64,)]
+    assert sorted(minimal_transversals([(63,), (64,), (127, 128)])) == \
+        [(63, 64, 127), (63, 64, 128)]
 
 
 def test_minimal_transversals_edges():

@@ -138,6 +138,20 @@ def test_betti_table_roundtrip():
     assert back.entries == T.entries
     assert back.ring == T.ring
     assert back.convention == T.convention
+    for bad in ({"entries": []},
+                {"variables": ["a", "b"]},
+                {"variables": ["a", "b"], "entries": [{"i": 0, "value": 1}]},
+                {"variables": ["a", "b"], "entries": [[0, [1, 1], 1]]},
+                {"variables": ["a", "b"],
+                 "entries": [{"i": 0, "degree": [1], "value": 1}]},
+                {"variables": ["a", "b"],
+                 "entries": [{"i": 0, "degree": [1, 1], "value": "x"}]},
+                {"variables": ["a", "b"],
+                 "entries": [{"i": -1, "degree": [1, 1], "value": 1}]},
+                {"variables": ["a", "b"], "entries": 5},
+                [1, 2]):
+        with pytest.raises(InputError):
+            BettiTable.from_dict(bad)
 
 
 def test_betti_diagram_golden():

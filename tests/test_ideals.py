@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
 from depolar import InputError, MonomialIdeal, Ring, minimalize
-from depolar.ideals import format_monomial, parse_monomial
+from depolar.ideals import check_exponent, format_monomial, parse_monomial
 
 
 def ideal(*gens, names=None):
@@ -115,6 +116,17 @@ def test_dict_roundtrip():
         MonomialIdeal.from_dict({"variables": ["x"]})
     with pytest.raises(InputError):
         MonomialIdeal.from_dict({"variables": ["x"], "generators": "bogus"})
+
+
+def test_exponents_must_be_integers():
+    assert check_exponent((np.int64(2), np.int32(0), 7), 3) == (2, 0, 7)
+    assert all(type(e) is int for e in check_exponent(np.array([1, 2]), 2))
+    for bad in ((1.5, 0), (True, 2), (1, False), ("1", 0), (1.0, 0), 3):
+        with pytest.raises(InputError):
+            check_exponent(bad, 2)
+    with pytest.raises(InputError):
+        MonomialIdeal.from_dict({"variables": ["x", "y"],
+                                 "generators": [[1.5, 0], [True, 2]]})
 
 
 def test_monomial_text_roundtrip():
