@@ -16,7 +16,7 @@ from .ideals import (DEFAULT_LATTICE_CAP, InputError, Ring, check_exponent,
 DEFAULT_PRIME = 32003
 
 
-def check_modulus(p):
+def _check_modulus(p):
     """Ranks are over Q for p None, else over F_p for a prime p < 2^31."""
     if p is not None and not (type(p) is int and 2 <= p < 2 ** 31 and all(
             p % d for d in range(2, isqrt(p) + 1))):
@@ -79,7 +79,7 @@ def reduced_homology_dims(cx, face_cap=DEFAULT_FACE_CAP, p=None):
     Uses augmented boundary maps, so the irrelevant complex has H~_{-1} = 1
     and any nonempty complex has H~_{-1} = 0.  The void complex returns [].
     """
-    check_modulus(p)
+    _check_modulus(p)
     faces = cx.faces_by_dim(face_cap)
     if not faces:
         return []
