@@ -89,9 +89,6 @@ class SimplicialComplex:
     def names_of(self, mask):
         return [self.vertices[i] for i in bits_of(mask)]
 
-    def contains_face(self, mask):
-        return any(mask & f == mask for f in self.facets)
-
     def is_full_simplex(self):
         return self.facets == ((1 << self.n) - 1,)
 

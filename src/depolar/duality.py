@@ -9,7 +9,7 @@ from .complexes import SimplicialComplex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
 from .hypergraph import berge_fold, block_popcounts
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, check_exponent,
-                     divides, support, total_degree)
+                     divides, support)
 from .polarization import PolarVariableMap
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -36,7 +36,7 @@ def alexander_dual_ideal(I, a=None, cap=None):
     holds t when t_i >= a_i + 1 - g_i for some i in supp(g).  Variable i
     gets one slot per distinct level its generators ask for, at most a_i,
     and t sets the slots of block i up to t_i.  hypergraph.berge_fold
-    folds the generators in by ascending total degree on W-word bitsets.
+    folds the generators in, in colex order, on W-word bitsets.
     """
     if I.is_zero:
         raise InputError("the zero ideal dualizes to the unit ideal")
@@ -47,8 +47,9 @@ def alexander_dual_ideal(I, a=None, cap=None):
         a = check_exponent(a, I.n)
         if not divides(mu, a):
             raise InputError(f"dual bound {a} must dominate {mu}")
-    G = np.array(sorted(I.gens, key=lambda g: (total_degree(g), g)),
-                 dtype=np.int64)
+    # colex order; on squarefree generators it is the ascending mask order
+    # transversal_masks folds in
+    G = np.array(sorted(I.gens, key=lambda g: g[::-1]), dtype=np.int64)
     used = G > 0
     # key = variable * base + level; the sorted used keys number the slots
     base = max(a) + 2

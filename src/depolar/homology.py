@@ -6,7 +6,7 @@ complexes: beta_{i,mu} = dim H~_{i-1}(K^mu_I), summed over the lcm lattice.
 
 from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
 from math import isqrt
 
 from .complexes import DEFAULT_FACE_CAP, koszul_complex
@@ -18,9 +18,13 @@ DEFAULT_PRIME = 32003
 
 def _check_modulus(p):
     """Ranks are over Q for p None, else over F_p for a prime p < 2^31."""
-    if p is not None and not (type(p) is int and 2 <= p < 2 ** 31 and all(
-            p % d for d in range(2, isqrt(p) + 1))):
+    if p is not None and not (type(p) is int and _is_small_prime(p)):
         raise InputError(f"modulus {p!r} is not a prime below 2^31")
+
+
+@lru_cache(maxsize=16)
+def _is_small_prime(p):
+    return 2 <= p < 2 ** 31 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _boundary_columns(lower, upper):

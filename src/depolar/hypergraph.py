@@ -16,19 +16,19 @@ import numpy as np
 
 from .ideals import InputError, ResourceLimit
 
-try:
-    _popcount = np.bitwise_count
-except AttributeError:  # numpy < 2.0
-    _M1 = np.uint64(0x5555555555555555)
-    _M2 = np.uint64(0x3333333333333333)
-    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _H = np.uint64(0x0101010101010101)
+_M1, _M2, _M4, _H = map(np.uint64, (0x5555555555555555, 0x3333333333333333,
+                                     0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
 
-    def _popcount(x):
-        x = x - ((x >> np.uint64(1)) & _M1)
-        x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-        x = (x + (x >> np.uint64(4))) & _M4
-        return (x * _H) >> np.uint64(56)
+
+def _popcount_swar(x):
+    """Bits set per uint64 word, as uint8 like numpy 2's np.bitwise_count."""
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return ((x * _H) >> np.uint64(56)).astype(np.uint8)
+
+
+_popcount = getattr(np, "bitwise_count", _popcount_swar)
 
 # _LOW[k] sets the low k bits of a word, k = 0..64
 _LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)

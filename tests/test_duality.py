@@ -2,12 +2,14 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 import oracles
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.duality import (a_minus, alexander_dual_ideal, expansion_set,
                              repolarize_dual, dual_complex_via_depolarization)
+from depolar import hypergraph
 from depolar.hypergraph import minimal_transversals
 from depolar.polarization import polarize_ideal
 from depolar.depolarization import depolarize
@@ -150,6 +152,24 @@ def test_squarefree_dual_past_64_variables():
     whole = MonomialIdeal.from_gens(R, [(1,) * n])
     assert alexander_dual_ideal(whole).gens == tuple(
         sorted(tuple(int(k == i) for k in range(n)) for i in range(n)))
+
+
+def test_popcount_fallback_gives_the_same_duals(monkeypatch):
+    # numpy < 2.0 has no bitwise_count; the fallback counts the same bits
+    # in the same uint8, so the int64 block counts still add in place
+    words = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, 0x0123456789ABCDEF],
+                     dtype=np.uint64)
+    got = hypergraph._popcount_swar(words)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [bin(w).count("1") for w in words.tolist()]
+    n = 70
+    R = Ring([f"x{i}" for i in range(n)])
+    halves = MonomialIdeal.from_gens(R, [tuple(int(i < 35) for i in range(n)),
+                                         tuple(int(i >= 35) for i in range(n))])
+    cases = [xyz_ideal(), halves]
+    want = [alexander_dual_ideal(I) for I in cases]
+    monkeypatch.setattr(hypergraph, "_popcount", hypergraph._popcount_swar)
+    assert [alexander_dual_ideal(I) for I in cases] == want
 
 
 def test_dual_respects_cap():

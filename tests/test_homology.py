@@ -106,6 +106,10 @@ def test_graded_betti_threads_and_prime():
     base = graded_betti(I)
     assert graded_betti(I, threads=2).entries == base.entries
     assert graded_betti(I, p=32003).entries == base.entries
+    # the largest prime below 2^31; its trial division runs once per sweep
+    assert graded_betti(I, p=2 ** 31 - 1).entries == base.entries
+    with pytest.raises(InputError):
+        graded_betti(I, p=2 ** 31 + 11)
 
 
 def test_betti_table_conventions():
