@@ -325,7 +325,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimit, MemoryError) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        print(f"error: resource limit: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Alexander duality of monomial ideals, and dual complexes via depolarization."""
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -9,7 +10,7 @@ from .complexes import SimplicialComplex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
 from .hypergraph import berge_fold, block_popcounts
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, check_exponent,
-                     divides, support)
+                     divides, divisible_by_any, support)
 from .polarization import PolarVariableMap
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -95,14 +96,20 @@ def _blocks_of(mapping):
 def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
     """Dual of the polarization, assembled from the dual of a depolarization.
 
-    Every nu in G(Jdual) expands into its fiber of squarefree monomials;
-    the minimal elements of the union are found without materializing the
-    redundant whole, then named through the mapping's blocks.
+    Every nu in G(Jdual) expands into its fiber of squarefree monomials,
+    one slot j_i <= (mu minus nu)_i per i in supp(nu).  Here a fiber
+    element is written as its exponent c = mu + 1 - j on supp(nu), so the
+    fiber of nu is the box nu <= c <= mu.  The minimal elements of the
+    union are found one support S at a time:
 
-    A fiber element of nu is non-minimal exactly when some other dual
-    generator nu' supported inside supp(nu) admits the same slot choices,
-    i.e. j_i <= (mu minus nu')_i on supp(nu'); equal supports only count
-    in one direction to keep one copy of duplicated monomials.
+    - the boxes of the generators supported on S are concatenated and
+      duplicate rows dropped (a row shared by two boxes is one monomial);
+    - a row is dropped when a generator nu' supported strictly inside S
+      divides it, since the row restricted to supp(nu') then lies in the
+      fiber of nu'.
+
+    The survivors are named through the mapping's blocks.  cartesian_cap
+    bounds the rows built at once: the summed fiber size of one support.
     """
     if Jdual.is_zero:
         raise InputError("cannot expand the zero ideal")
@@ -116,47 +123,61 @@ def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
     for nu in Jdual.gens:
         if not divides(nu, mu):
             raise InputError(f"dual generator {nu} exceeds mu {mu}")
-    order = sorted(range(len(Jdual.gens)),
-                   key=lambda k: (len(support(Jdual.gens[k])), k))
-    rank = {k: r for r, k in enumerate(order)}
-    supports = [frozenset(support(g)) for g in Jdual.gens]
-    limits = [a_minus(mu, g) for g in Jdual.gens]
+    G = np.array(Jdual.gens, dtype=np.int64)
+    supports, group = np.unique(G > 0, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    dtype = np.min_scalar_type(max(mu))
+    # slot[i][c] names the polarized variable of exponent c on variable i
+    slot = [np.array([0] + list(b[:m])[::-1], dtype=np.int64)
+            for b, m in zip(blocks, mu)]
+    top = np.array(mu, dtype=np.int64)
+    # output rows go out in chunks of about 2^14 entries, so the lists
+    # tolist() makes stay small beside the tuples that are kept
+    step = max(1, 2 ** 14 // ring.n)
     rows = []
-    for k, nu in enumerate(Jdual.gens):
-        supp = sorted(supports[k])
-        col = {i: c for c, i in enumerate(supp)}
-        sizes = [limits[k][i] for i in supp]
-        total = 1
-        for x in sizes:
-            total *= x
-        if total > cartesian_cap:
-            raise ResourceLimit(
-                f"fiber of {nu} has {total} elements, cap {cartesian_cap}")
-        killers = [k2 for k2 in range(len(Jdual.gens))
-                   if k2 != k and supports[k2] <= supports[k]
-                   and (supports[k2] < supports[k] or rank[k2] < rank[k])]
-        killers.sort(key=lambda k2: len(supports[k2]))
-        step = max(1, 2 ** 19 // max(1, len(supp)))
-        for lo in range(0, total, step):
-            span = np.arange(lo, min(lo + step, total))
-            grid = np.stack(np.unravel_index(span, sizes), axis=1) + 1
-            alive = np.ones(len(grid), dtype=bool)
-            for k2 in killers:
-                cols = [col[i] for i in sorted(supports[k2])]
-                lims = [limits[k2][i] for i in sorted(supports[k2])]
-                alive &= ~(grid[:, cols] <= np.array(lims)).all(axis=1)
-                if not alive.any():
-                    break
-            grid = grid[alive]
-            if not len(grid):
-                continue
-            out = np.zeros((len(grid), ring.n), dtype=np.int64)
-            arange = np.arange(len(grid))
-            for i in supp:
-                idx = np.array(blocks[i], dtype=np.int64)[grid[:, col[i]] - 1]
-                out[arange, idx] = 1
+    for s, S in enumerate(supports):
+        cols = np.flatnonzero(S)
+        c = _fiber_union(G[group == s][:, cols], top[cols], cartesian_cap,
+                         dtype)
+        # supports strictly inside S
+        inside = ~(supports & ~S).any(axis=1)
+        inside[s] = False
+        lower = G[inside[group]][:, cols]
+        for lo in range(0, len(c), step):
+            part = c[lo:lo + step]
+            part = part[~divisible_by_any(part, lower)]
+            out = np.zeros((len(part), ring.n), dtype=np.uint8)
+            arange = np.arange(len(part))
+            for k, i in enumerate(cols):
+                out[arange, slot[i][part[:, k]]] = 1
             rows.extend(map(tuple, out.tolist()))
     return MonomialIdeal(ring, sorted(rows))
+
+
+def _fiber_union(own, top, cap, dtype):
+    """Distinct rows of the boxes own[g] <= c <= top, as dtype."""
+    dims = top - own + 1
+    # Python ints: a product past 2^63 must reach the cap check unwrapped
+    sizes = [math.prod(d) for d in dims.tolist()]
+    total = sum(sizes)
+    if total > cap:
+        raise ResourceLimit(
+            f"fibers on one support have {total} elements, cap {cap}")
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    c = np.empty((total, len(top)), dtype=dtype)
+    step = 2 ** 12  # rows per pass; bounds the int64 index temporaries
+    for lo in range(0, total, step):
+        idx = np.arange(lo, min(lo + step, total))
+        owner = np.searchsorted(ends, idx, side="right")
+        local = idx - starts[owner]
+        for k in range(len(top) - 1, -1, -1):
+            local, r = np.divmod(local, dims[owner, k])
+            c[lo:lo + step, k] = own[owner, k] + r
+    if len(own) > 1:
+        c = c[np.lexsort(c.T)]
+        c = c[np.r_[True, (c[1:] != c[:-1]).any(axis=1)]]
+    return c
 
 
 def dual_complex_via_depolarization(cx, partition=None,
@@ -180,8 +201,12 @@ def dual_complex_via_depolarization(cx, partition=None,
     report["gens_J"] = len(D.ideal.gens)
     Jdual = clock("dual", alexander_dual_ideal, D.ideal)
     report["gens_Jdual"] = len(Jdual.gens)
-    final = clock("repolarize", repolarize_dual, Jdual,
-                  D.ideal.lcm_exponent(), D, cartesian_cap)
+    mu = D.ideal.lcm_exponent()
+    # the rows repolarize_dual builds before it drops duplicates and
+    # non-minimal ones
+    report["fiber_elements"] = sum(math.prod(r for r in a_minus(mu, g) if r)
+                                   for g in Jdual.gens)
+    final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
     report["gens_final"] = len(final.gens)
     t0 = time.perf_counter()
     full = (1 << cx.n) - 1

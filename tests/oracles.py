@@ -110,6 +110,21 @@ def dual_ideal(gens, a=None):
                              for i in range(len(a))))
 
 
+def repolarized_dual(gens, mu, blocks):
+    """Minimal sets of the union of the fibers of gens, named through blocks.
+
+    The fiber of nu picks one of the first mu_i + 1 - nu_i variables of
+    blocks[i] for every i in supp(nu).
+    """
+    union = set()
+    for nu in gens:
+        supp = [i for i in range(len(mu)) if nu[i] > 0]
+        for choice in itertools.product(
+                *[blocks[i][:mu[i] + 1 - nu[i]] for i in supp]):
+            union.add(frozenset(choice))
+    return minimal_sets(union)
+
+
 def closure_faces(facets):
     faces = set()
     for f in facets:

@@ -372,13 +372,15 @@ def test_criterion_4_randomized_suites():
 
 # ---------------------------------------------------------------- criterion 5
 
-def _best_time(fn, repeats):
-    best = None
+def _best_times(fns, repeats):
+    """Min time of each fn over repeats.  The calls alternate (f, g, f, g,
+    ...), so a drift in the machine's speed reaches every side alike."""
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
+        for k, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[k] = min(best[k], time.perf_counter() - t0)
     return best
 
 
@@ -393,8 +395,9 @@ def test_criterion_5_dual_via_depolarization_wins():
             J = gen_power_ideal(**params)
         P, _ = polarize_ideal(J)
         repeats = 3 if params["n"] == 8 else 5
-        t_small = _best_time(lambda: alexander_dual_ideal(J), repeats)
-        t_polar = _best_time(lambda: alexander_dual_ideal(P), repeats)
+        t_small, t_polar = _best_times(
+            [lambda: alexander_dual_ideal(J), lambda: alexander_dual_ideal(P)],
+            repeats)
         assert len(alexander_dual_ideal(J).gens) <= \
             len(alexander_dual_ideal(P).gens)
         if t_small < t_polar:

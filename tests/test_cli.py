@@ -129,10 +129,36 @@ def test_dual_complex_with_report(tmp_path, capsys):
     rep = json.loads(report.read_text())
     assert rep["gens_J"] == 3
     assert rep["gens_final"] == 1
+    assert rep["fiber_elements"] == 1
     assert set(rep["ms_per_step"]) == {
         "facet_ideal", "depolarize", "dual", "repolarize", "complements"}
     out = run_ok(capsys, ["dual-complex", "--in", src, "--format", "text"])
     assert out == "{ {} }\n"
+    # the worked example J = <x^4, x*z^3, x^3*y^3*z^2, y*z^3>: its four dual
+    # generators have fibers of 1 + 9 + 36 + 8 monomials
+    src = write_json(tmp_path, "example.json", {
+        "vertices": [f"v{i}" for i in range(1, 11)],
+        "facets": [[f"v{i}" for i in f] for f in [
+            (5, 6, 7, 8, 9, 10), (1, 2, 3, 5, 6, 10), (3, 9),
+            (1, 2, 3, 4, 5, 6)]]})
+    run_ok(capsys, ["dual-complex", "--in", src, "--report", str(report)])
+    rep = json.loads(report.read_text())
+    assert (rep["gens_Jdual"], rep["fiber_elements"], rep["gens_final"]) \
+        == (4, 54, 15)
+
+
+def test_dual_complex_over_the_expansion_cap(tmp_path, capsys):
+    # complements of 8 blocks of 8 vertices: the depolarized ideal is
+    # <x1^8, ..., x8^8>, whose one dual generator x1*...*x8 has a fiber of
+    # 8^8 > 10^7 monomials
+    blocks = [[f"v{8 * b + j}" for j in range(8)] for b in range(8)]
+    src = write_json(tmp_path, "cx.json", {
+        "vertices": [v for block in blocks for v in block],
+        "facets": [[v for other in blocks if other is not block
+                    for v in other] for block in blocks]})
+    assert cli.main(["dual-complex", "--in", src]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_homology_text_and_mod(tmp_path, capsys):

@@ -231,6 +231,25 @@ def test_repolarize_dual_errors():
         repolarize_dual(Jd, (4, 3, 3), "frobnicate")
 
 
+def test_repolarize_cap_bounds_one_support():
+    # two generators on support {x, y}: each fiber has 12 elements, the
+    # two together 24
+    R = Ring(["x", "y"])
+    _, pmap = polarize_ideal(MonomialIdeal.from_gens(R, [(4, 0), (0, 4)]))
+    Jd = MonomialIdeal.from_gens(R, [(1, 2), (2, 1)])
+    with pytest.raises(ResourceLimit):
+        repolarize_dual(Jd, (4, 4), pmap, cartesian_cap=20)
+    # the boxes 1..4 x 2..4 and 2..4 x 1..4 share 9 rows
+    assert len(repolarize_dual(Jd, (4, 4), pmap, cartesian_cap=24).gens) == 15
+    # a fiber of 256^8 = 2^64 elements, which int64 arithmetic wraps to 0
+    R = Ring([f"x{i}" for i in range(8)])
+    _, pmap = polarize_ideal(MonomialIdeal.from_gens(
+        R, [tuple(256 * (j == i) for j in range(8)) for i in range(8)]))
+    with pytest.raises(ResourceLimit):
+        repolarize_dual(MonomialIdeal.from_gens(R, [(1,) * 8]), (256,) * 8,
+                        pmap)
+
+
 def test_minimal_transversals_matches_oracle(rng):
     for _ in range(150):
         nverts = rng.randint(1, 10)
@@ -301,6 +320,7 @@ def test_pipeline_golden_complex():
     assert report["gens_J"] == 4
     assert report["gens_Jdual"] == 4
     assert report["gens_final"] == 15
+    assert report["fiber_elements"] == 54
     assert set(report["ms_per_step"]) == {
         "facet_ideal", "depolarize", "dual", "repolarize", "complements"}
     assert all(t >= 0 for t in report["ms_per_step"].values())

@@ -96,6 +96,67 @@ def test_repolarized_dual_equals_polar_dual(I):
     assert assembled == alexander_dual_ideal(P)
 
 
+def repolarize_case(rnd, nested):
+    """(Jdual, mu, mapping, blocks) with generators bounded by mu.  Either
+    two or more generators share one support, or (nested) some generator
+    has its support strictly inside another's.  The mapping comes from
+    polarize_ideal or from depolarize of a squarefree ideal."""
+    while True:
+        polar = rnd.random() < 0.5
+        n = rnd.randint(2, 4 if polar else 7)
+        R = Ring([f"x{i}" for i in range(1, n + 1)])
+        if polar:
+            mu = tuple(rnd.randint(1, 3) for _ in range(n))
+            _, mapping = polarize_ideal(MonomialIdeal.from_gens(
+                R, [tuple(m if j == i else 0 for j, m in enumerate(mu))
+                    for i in range(n)]))
+            blocks = mapping.blocks
+        else:
+            mapping = depolarize(MonomialIdeal.from_gens(R, [
+                tuple(int(i == k or rnd.random() < 0.4) for i in range(n))
+                for k in rnd.sample(range(n), rnd.randint(1, n))]))
+            R, mu = mapping.ideal.ring, mapping.ideal.lcm_exponent()
+            blocks = mapping.chains
+        live = [i for i, m in enumerate(mu) if m]
+        if len(live) < 2:
+            continue
+        S = rnd.sample(live, rnd.randint(2, len(live)))
+        supports = [S] * rnd.randint(1 if nested else 2, 3)
+        if nested:
+            supports += [rnd.sample(S, rnd.randint(1, len(S) - 1))
+                         for _ in range(rnd.randint(1, 2))]
+        supports += [rnd.sample(live, rnd.randint(1, len(live)))
+                     for _ in range(rnd.randint(0, 2))]
+        Jdual = MonomialIdeal.from_gens(R, [
+            tuple(rnd.randint(1, m) if i in supp else 0
+                  for i, m in enumerate(mu)) for supp in supports])
+        found = [frozenset(i for i, e in enumerate(g) if e)
+                 for g in Jdual.gens]
+        if (any(a < b for a in found for b in found) if nested
+                else len(set(found)) < len(found)):
+            return Jdual, mu, mapping, blocks
+
+
+def check_repolarize_dual(case):
+    Jdual, mu, mapping, blocks = case
+    got = repolarize_dual(Jdual, mu, mapping)
+    assert sorted((frozenset(i for i, e in enumerate(g) if e)
+                   for g in got.gens), key=oracles.set_key) \
+        == oracles.repolarized_dual(Jdual.gens, mu, blocks)
+
+
+@given(st.randoms(use_true_random=True))
+@RUNS
+def test_repolarize_dual_merges_one_support(rnd):
+    check_repolarize_dual(repolarize_case(rnd, nested=False))
+
+
+@given(st.randoms(use_true_random=True))
+@RUNS
+def test_repolarize_dual_drops_rows_of_inner_supports(rnd):
+    check_repolarize_dual(repolarize_case(rnd, nested=True))
+
+
 @given(proper_complexes(max_n=10))
 @RUNS
 def test_pipeline_equals_direct_dual(cx):
