@@ -18,7 +18,6 @@ from .depolarization import (
     ChainPartition,
     Depolarization,
     SupportPoset,
-    chain_partitions,
     depolarize,
     min_chain_partition,
     ordered_support_poset,
@@ -83,7 +82,6 @@ __all__ = [
     "alexander_dual_complex",
     "alexander_dual_ideal",
     "betti_diagram",
-    "chain_partitions",
     "complex_of_squarefree_ideal",
     "depolarize",
     "dual_complex_via_depolarization",

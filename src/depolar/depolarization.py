@@ -2,49 +2,42 @@
 
 import numpy as np
 
-from .ideals import InputError, MonomialIdeal, Ring, support
+from .ideals import InputError, MonomialIdeal, Ring
 from .polarization import polarize_ideal
 
 
 class SupportPoset:
     """Variables ordered by inclusion of their generator-support sets C_i.
 
-    C_i is the intersection of the supports of all generators containing i;
-    i precedes j when C_i is strictly contained in C_j, with equal sets
-    ordered by ring position.
+    C_i is the intersection of the supports of all generators containing i.
+    The poset holds the generator x variable 0/1 incidence matrix of the
+    ideal: column i is gens(i), the generators that contain i.  Since C_i
+    lies inside C_j exactly when i is in C_j, that is when gens(j) lies
+    inside gens(i), i precedes j when column j is strictly inside column i,
+    with equal columns ordered by ring position.  The elements are the
+    variables with a nonzero column.
     """
 
-    __slots__ = ("ring", "elements", "supports")
+    __slots__ = ("ring", "elements", "incidence")
 
-    def __init__(self, ring, supports):
+    def __init__(self, ring, incidence):
         self.ring = ring
-        self.supports = {i: frozenset(c) for i, c in supports.items()}
-        self.elements = tuple(sorted(self.supports))
+        self.incidence = np.asarray(incidence, dtype=bool).reshape(-1, ring.n)
+        self.elements = tuple(np.flatnonzero(self.incidence.any(0)).tolist())
+
+    def _ascending(self, u, v):
+        """Per k, whether element u[k] precedes element v[k]."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        a, b = self.incidence[:, u], self.incidence[:, v]
+        return (b <= a).all(0) & ((u < v) | (a != b).any(0))
 
     def precedes(self, i, j):
-        a, b = self.supports[i], self.supports[j]
-        return a < b or (a == b and i < j)
-
-    def comparable(self, i, j):
-        return self.precedes(i, j) or self.precedes(j, i)
-
-    def hasse_edges(self):
-        """Cover pairs (i, j): i precedes j with nothing strictly between."""
-        edges = []
-        for i in self.elements:
-            for j in self.elements:
-                if self.precedes(i, j) and not any(
-                        self.precedes(i, k) and self.precedes(k, j)
-                        for k in self.elements):
-                    edges.append((i, j))
-        return edges
+        return bool(self._ascending([i], [j])[0])
 
     def is_chain(self, seq):
-        return all(self.precedes(seq[k], seq[k + 1]) for k in range(len(seq) - 1))
-
-    def linear_extension(self):
-        # |C_i| strictly grows along the strict inclusions, ties follow ring order
-        return sorted(self.elements, key=lambda i: (len(self.supports[i]), i))
+        seq = np.asarray(seq, dtype=np.int64)
+        return bool(self._ascending(seq[:-1], seq[1:]).all())
 
 
 class ChainPartition:
@@ -99,84 +92,105 @@ class Depolarization:
                            for c in self.chains]}
 
 
+def _incidence(I):
+    """Generator x variable 0/1 matrix of a squarefree ideal, as bool."""
+    G = np.array(I.gens, dtype=np.int64).reshape(len(I.gens), I.n)
+    if (G > 1).any():
+        raise InputError("support sets need a squarefree ideal; polarize first")
+    return G > 0
+
+
 def support_sets(I):
     """C_i for every i in supp(I); requires a squarefree ideal."""
-    if not I.is_squarefree():
-        raise InputError("support sets need a squarefree ideal; polarize first")
-    M = np.zeros((len(I.gens), I.n), dtype=bool)
-    for r, g in enumerate(I.gens):
-        M[r, list(support(g))] = True
+    M = _incidence(I)
     out = {}
-    for i in range(I.n):
-        rows = M[M[:, i]]
-        if len(rows):
-            out[i] = frozenset(np.flatnonzero(rows.all(axis=0)).tolist())
+    for i in np.flatnonzero(M.any(0)).tolist():
+        out[i] = frozenset(np.flatnonzero(M[M[:, i]].all(axis=0)).tolist())
     return out
 
 
 def ordered_support_poset(I):
-    return SupportPoset(I.ring, support_sets(I))
+    return SupportPoset(I.ring, _incidence(I))
 
 
 def singleton_partition(poset):
     return ChainPartition([(i,) for i in poset.elements])
 
 
+def _successors(cols):
+    """Successor lists of the strict order on distinct 0/1 rows: b follows
+    a when row b lies strictly inside row a, found from the pairwise
+    intersection sizes, one block of rows at a time."""
+    K = cols.astype(np.float64)  # exact: the counts stay far below 2^53
+    size = K.sum(1)
+    step = max(1, (1 << 22) // len(K))
+    out = []
+    for lo in range(0, len(K), step):
+        inter = K[lo:lo + step] @ K.T
+        inside = (inter == size) & (size[lo:lo + step, None] > size)
+        out.extend(np.flatnonzero(row).tolist() for row in inside)
+    return out
+
+
+def _augment(root, succ, match):
+    """Kuhn's search for an augmenting path from root, on explicit stacks.
+
+    match[b] is the element matched in front of b, or -1.  The search tries
+    successors in list order and visits each element at most once.
+    """
+    seen = set()
+    lefts, rights, todo = [root], [], [iter(succ[root])]
+    while todo:
+        for b in todo[-1]:
+            if b not in seen:
+                seen.add(b)
+                rights.append(b)
+                if match[b] < 0:
+                    for a, r in zip(lefts, rights):
+                        match[r] = a
+                    return
+                lefts.append(match[b])
+                todo.append(iter(succ[match[b]]))
+                break
+        else:
+            todo.pop()
+            lefts.pop()
+            if rights:
+                rights.pop()
+
+
 def min_chain_partition(poset):
     """Fewest chains covering the poset (Dilworth), via bipartite matching.
 
-    Augmenting paths try successors in ascending ring order, so the result
-    is deterministic.
+    Variables with equal incidence columns form a group.  A group is a
+    chain in ring order, and any chain partition of the groups, each group
+    expanded into its members, is a chain partition of the variables with
+    as many chains; an antichain meets each group at most once, so both
+    posets have the same width.  The matching runs on the groups, numbered
+    by their first ring position: Kuhn's augmenting path searches start
+    from each group in that order and try successors in that order, so the
+    result is deterministic.  A chain lists the members of its groups in
+    ring order, and chains come in the order of their first variable.
     """
-    elems = poset.elements
-    adj = {i: [j for j in elems if poset.precedes(i, j)] for i in elems}
-    match_right = {}
-
-    def augment(i, visited):
-        for j in adj[i]:
-            if j not in visited:
-                visited.add(j)
-                if j not in match_right or augment(match_right[j], visited):
-                    match_right[j] = i
-                    return True
-        return False
-
-    for i in elems:
-        augment(i, set())
-    succ = {i: j for j, i in match_right.items()}
+    groups = {}  # insertion order: by first ring position
+    cols = np.packbits(poset.incidence[:, poset.elements].T, axis=1)
+    for i, key in zip(poset.elements, cols):
+        groups.setdefault(key.tobytes(), []).append(i)
+    members = list(groups.values())
+    succ = _successors(poset.incidence[:, [m[0] for m in members]].T)
+    match = [-1] * len(members)
+    for root in range(len(members)):
+        _augment(root, succ, match)
+    nxt = {a: b for b, a in enumerate(match) if a >= 0}
     chains = []
-    for s in elems:
-        if s not in match_right:
-            chain = [s]
-            while chain[-1] in succ:
-                chain.append(succ[chain[-1]])
-            chains.append(tuple(chain))
+    for start, before in enumerate(match):
+        if before < 0:
+            chain, k = [], start
+            while k is not None:
+                chain.extend(members[k])
+                k = nxt.get(k)
+            chains.append(chain)
     return ChainPartition(chains)
-
-
-def chain_partitions(poset, cap=10 ** 4):
-    """Every chain partition of the poset, for small testing posets only."""
-    order = poset.linear_extension()
-    out = []
-
-    def extend(idx, chains):
-        if len(out) >= cap:
-            raise InputError(f"more than {cap} chain partitions")
-        if idx == len(order):
-            out.append(ChainPartition([tuple(c) for c in chains]))
-            return
-        e = order[idx]
-        for c in chains:
-            if poset.precedes(c[-1], e):
-                c.append(e)
-                extend(idx + 1, chains)
-                c.pop()
-        chains.append([e])
-        extend(idx + 1, chains)
-        chains.pop()
-
-    extend(0, [])
-    return out
 
 
 def depolarize(I, partition=None):
@@ -189,40 +203,45 @@ def depolarize(I, partition=None):
     """
     if I.is_zero:
         raise InputError("cannot depolarize the zero ideal")
-    if not I.is_squarefree():
+    G = np.array(I.gens, dtype=np.int64)
+    if (G > 1).any():
         I, _ = polarize_ideal(I)
-    poset = ordered_support_poset(I)
+        G = np.array(I.gens, dtype=np.int64)
+    poset = SupportPoset(I.ring, G > 0)
     if partition is None or partition == "min":
         partition = min_chain_partition(poset)
     elif partition == "singleton":
         partition = singleton_partition(poset)
     elif not isinstance(partition, ChainPartition):
         raise InputError(f"bad partition {partition!r}")
-    flat = [i for c in partition.chains for i in c]
+    chains = partition.chains
+    flat = [i for c in chains for i in c]
     if len(set(flat)) != len(flat):
         raise InputError("chains overlap")
     if set(flat) != set(poset.elements):
         raise InputError("chains must cover exactly the support of the ideal")
-    for c in partition.chains:
-        if not poset.is_chain(c):
-            raise InputError(f"not an ascending chain: {list(c)}")
-    gens = []
-    for g in I.gens:
-        supp = set(support(g))
-        row = []
-        for c in partition.chains:
-            inside = [i in supp for i in c]
-            k = sum(inside)
-            if any(inside[k:]):
-                raise InputError(
-                    f"generator {g} meets chain {list(c)} in a non-prefix")
-            row.append(k)
-        gens.append(tuple(row))
-    ring_out = Ring([I.ring.variables[c[0]] for c in partition.chains])
-    ideal = MonomialIdeal(ring_out, sorted(gens))
-    if len(ideal.gens) != len(I.gens):
-        raise AssertionError("depolarization must preserve the generator count")
-    return Depolarization(ideal, partition.chains, I.ring)
+    lens = np.array([len(c) for c in chains])
+    starts = np.cumsum(lens) - lens
+    chain_of = np.repeat(np.arange(len(chains)), lens)
+    pos = np.arange(len(flat)) - np.repeat(starts, lens)
+    flat = np.array(flat, dtype=np.int64)
+    # consecutive pairs inside one chain must ascend
+    inner = pos[1:] > 0
+    up = poset._ascending(flat[:-1][inner], flat[1:][inner])
+    if not up.all():
+        c = chains[chain_of[1:][inner][np.argmin(up)]]
+        raise InputError(f"not an ascending chain: {list(c)}")
+    # generator m meets chain c in its first k_c variables
+    A = poset.incidence[:, flat]
+    k = np.add.reduceat(A, starts, axis=1, dtype=np.int64)
+    bad = A != (pos < k[:, chain_of])
+    if bad.any():
+        r, col = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InputError(f"generator {I.gens[r]} meets chain "
+                         f"{list(chains[chain_of[col]])} in a non-prefix")
+    ring_out = Ring([I.ring.variables[c[0]] for c in chains])
+    ideal = MonomialIdeal(ring_out, sorted(map(tuple, k.tolist())))
+    return Depolarization(ideal, chains, I.ring)
 
 
 def validate_depolarization(I, D):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import berge_fold, block_popcounts
+from .hypergraph import berge_fold, block_popcounts, from_words, rows_to_words
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, check_exponent,
                      divides, divisible_by_any, support)
 from .polarization import PolarVariableMap
@@ -209,8 +209,10 @@ def dual_complex_via_depolarization(cx, partition=None,
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
     report["gens_final"] = len(final.gens)
     t0 = time.perf_counter()
-    full = (1 << cx.n) - 1
-    facets = sorted(full ^ sum(1 << i for i in support(g)) for g in final.gens)
+    # 0/1 rows, so each entry fits one byte
+    rows = np.frombuffer(bytes(itertools.chain.from_iterable(final.gens)),
+                         dtype=np.uint8).reshape(-1, cx.n)
+    facets = sorted(from_words(rows_to_words(rows == 0)))
     dual = SimplicialComplex(cx.vertices, facets)
     report["ms_per_step"]["complements"] = (time.perf_counter() - t0) * 1000.0
     return dual, report

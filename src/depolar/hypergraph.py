@@ -64,6 +64,16 @@ def from_words(arr):
     return out
 
 
+def rows_to_words(rows):
+    """(W, N) uint64 array of the 0/1 rows of an (N, n) array: column s of
+    a row is slot s."""
+    rows = np.asarray(rows, dtype=bool)
+    n = rows.shape[1]
+    packed = np.zeros((len(rows), 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64).T
+
+
 def block_popcounts(arr, lo, hi):
     """(N, B) bits set in each column of a (W, N) array within each slot
     range lo[b] <= s < hi[b]."""

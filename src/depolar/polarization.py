@@ -1,5 +1,7 @@
 """Polarization of exponent vectors and ideals, and the expanded Koszul complex."""
 
+import numpy as np
+
 from .complexes import SimplicialComplex, koszul_complex
 from .ideals import InputError, MonomialIdeal, Ring, check_exponent, divides
 
@@ -60,19 +62,23 @@ def polarize_index(mu, a):
 
 
 def polarize_ideal(I):
-    """Squarefree polarization of I with bound mu_I, plus the variable map."""
+    """Squarefree polarization of I with bound mu_I, plus the variable map.
+
+    Slot s of block i stands for level j(s) = s - offset_i of variable i,
+    and generator g fills it when j(s) < g_i.  Polarization keeps the lex
+    order of the generators, so the rows come out sorted.
+    """
     if I.is_zero:
         raise InputError("cannot polarize the zero ideal")
-    a = I.lcm_exponent()
-    target = Ring(block_names(I.ring, a))
-    blocks, start = [], 0
-    for size in a:
-        blocks.append(tuple(range(start, start + size)))
-        start += size
-    pgens = sorted(polarize_index(g, a) for g in I.gens)
-    P = MonomialIdeal(target, pgens)
-    if len(P.gens) != len(I.gens):
-        raise AssertionError("polarization must preserve the generator count")
+    G = np.array(I.gens, dtype=np.int64)
+    a = G.max(axis=0)
+    target = Ring(block_names(I.ring, a.tolist()))
+    starts = np.cumsum(a) - a
+    blocks = [tuple(range(s, s + k)) for s, k in zip(starts.tolist(), a.tolist())]
+    block = np.repeat(np.arange(I.n), a)
+    level = np.arange(target.n) - starts[block]
+    rows = (level < G[:, block]).astype(np.uint8)
+    P = MonomialIdeal(target, map(tuple, rows.tolist()))
     return P, PolarVariableMap(I.ring, target, blocks)
 
 

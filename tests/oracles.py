@@ -217,3 +217,47 @@ def max_antichain(elements, strictly_less):
                    for a, b in itertools.combinations(sub, 2)):
                 best = max(best, r)
     return best
+
+
+def comparable(poset, i, j):
+    return poset.precedes(i, j) or poset.precedes(j, i)
+
+
+def hasse_edges(poset):
+    """Cover pairs (i, j): i precedes j with nothing strictly between."""
+    elems = poset.elements
+    return [(i, j) for i in elems for j in elems
+            if poset.precedes(i, j) and not any(
+                poset.precedes(i, k) and poset.precedes(k, j) for k in elems)]
+
+
+def linear_extension(poset):
+    """Elements by their number of predecessors, which grows strictly
+    along the order; ties follow ring order."""
+    elems = poset.elements
+    return sorted(elems, key=lambda j: (
+        sum(poset.precedes(i, j) for i in elems), j))
+
+
+def chain_partitions(poset, cap=10 ** 4):
+    """Every chain partition of the poset, as tuples of chains."""
+    out = []
+
+    def extend(rest, chains):
+        if len(out) >= cap:
+            raise ValueError(f"more than {cap} chain partitions")
+        if not rest:
+            out.append(tuple(tuple(c) for c in chains))
+            return
+        e = rest[0]
+        for c in chains:
+            if poset.precedes(c[-1], e):
+                c.append(e)
+                extend(rest[1:], chains)
+                c.pop()
+        chains.append([e])
+        extend(rest[1:], chains)
+        chains.pop()
+
+    extend(linear_extension(poset), [])
+    return out

@@ -1,13 +1,20 @@
+import ast
+import inspect
 import itertools
+import sys
+import time
 
 import pytest
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import oracles
 from depolar import (ChainPartition, InputError, MonomialIdeal, Ring,
-                     chain_partitions, depolarize, min_chain_partition,
-                     ordered_support_poset, polarize_ideal,
-                     singleton_partition, support_sets,
+                     depolarize, min_chain_partition, ordered_support_poset,
+                     polarize_ideal, singleton_partition, support_sets,
                      validate_depolarization)
+from depolar import depolarization
+from depolar.families import gen_power_ideal
 
 # the running 10-variable example: P(<x^3 y, y z^3, x^2 y^3 z^2 t, z^3 t>)
 # transported to plain variables x1..x10
@@ -17,6 +24,10 @@ EX_GENS = [
     (1, 1, 0, 1, 1, 1, 1, 1, 0, 1),
     (0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
 ]
+
+
+def chain_partitions(poset):
+    return [ChainPartition(p) for p in oracles.chain_partitions(poset)]
 
 
 def ex_ideal():
@@ -48,8 +59,8 @@ def test_poset_order_and_hasse():
     poset = ordered_support_poset(ex_ideal())
     assert poset.precedes(3, 0) and poset.precedes(0, 1)
     assert not poset.precedes(1, 0)
-    assert not poset.comparable(2, 8)
-    edges1 = sorted((a + 1, b + 1) for a, b in poset.hasse_edges())
+    assert not oracles.comparable(poset, 2, 8)
+    edges1 = sorted((a + 1, b + 1) for a, b in oracles.hasse_edges(poset))
     assert edges1 == [(1, 2), (2, 3), (2, 5), (4, 1), (5, 6), (7, 8),
                       (8, 9), (8, 10), (10, 5)]
     assert poset.is_chain((3, 0, 1, 2))
@@ -204,3 +215,67 @@ def test_partition_dict_roundtrip():
     assert ChainPartition.from_dict(ring, cp.to_dict(ring)) == cp
     with pytest.raises(InputError):
         ChainPartition.from_dict(ring, {})
+
+
+@st.composite
+def polarized_ideals(draw):
+    """Polarizations with at most 12 variables: their blocks give
+    runs of equal incidence columns; emax = 1 draws squarefree ideals."""
+    n = draw(st.integers(1, 6))
+    emax = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, emax), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(row.filter(any), min_size=1, max_size=12))
+    J = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), gens)
+    assume(sum(J.lcm_exponent()) <= 12)
+    return polarize_ideal(J)[0]
+
+
+@given(polarized_ideals())
+# 20 generators: columns that agree on the first 8 generators can still differ
+@example(polarize_ideal(gen_power_ideal(4, 3))[0])
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_min_chain_partition_of_polarizations(P):
+    poset = ordered_support_poset(P)
+    below = {(a, b): poset.precedes(a, b)
+             for a in poset.elements for b in poset.elements}
+    cp = min_chain_partition(poset)
+    assert len(cp.chains) == oracles.max_antichain(
+        poset.elements, lambda a, b: below[a, b])
+    assert sorted(i for c in cp.chains for i in c) == list(poset.elements)
+    for c in cp.chains:
+        assert poset.is_chain(c)
+    assert min_chain_partition(ordered_support_poset(P)) == cp
+    assert depolarize(P).chains == cp.chains
+
+
+def test_long_chain_depolarizes_fast_without_recursion():
+    # <x^10000, y>: the polarization has 10001 variables in two chains
+    J = MonomialIdeal.from_gens(Ring(["x", "y"]), [(10000, 0), (0, 1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        t0 = time.perf_counter()
+        D = depolarize(J)
+        elapsed = time.perf_counter() - t0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(D.chains) == 2
+    assert D.ideal.gens == ((0, 1), (10000, 0))
+    assert elapsed < 1.0
+
+
+def test_no_function_in_depolarization_calls_itself():
+    tree = ast.parse(inspect.getsource(depolarization))
+    selfcalls = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                if name == fn.name:
+                    selfcalls.append(fn.name)
+    assert selfcalls == []
