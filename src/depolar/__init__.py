@@ -10,6 +10,7 @@ from .complexes import (
     SimplicialComplex,
     alexander_dual_complex,
     complex_of_squarefree_ideal,
+    facet_complement_complex,
     facet_complement_ideal,
     koszul_complex,
     stanley_reisner_ideal,
@@ -29,7 +30,6 @@ from .duality import (
     a_minus,
     alexander_dual_ideal,
     dual_complex_via_depolarization,
-    expansion_set,
     repolarize_dual,
 )
 from .families import (
@@ -47,7 +47,6 @@ from .homology import (
     reduced_homology_dims,
     total_betti,
 )
-from .hypergraph import minimal_transversals
 from .ideals import (
     InputError,
     MonomialIdeal,
@@ -86,7 +85,7 @@ __all__ = [
     "depolarize",
     "dual_complex_via_depolarization",
     "expanded_koszul",
-    "expansion_set",
+    "facet_complement_complex",
     "facet_complement_ideal",
     "format_monomial",
     "gen_jknm",
@@ -97,7 +96,6 @@ __all__ = [
     "hochster_betti",
     "koszul_complex",
     "min_chain_partition",
-    "minimal_transversals",
     "minimalize",
     "ordered_support_poset",
     "parse_monomial",

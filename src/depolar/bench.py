@@ -1,7 +1,9 @@
 """Benchmark harness: depolarized versus direct dual computations.
 
 Each grid cell runs in its own process under an optional memory cap and
-timeout; failures become data (status oom/timeout), never crashes.
+timeout; failures become data (status oom/timeout), never crashes.  The
+cell sends each field as it is measured, so a cell that fails keeps the
+fields measured before the failure.
 """
 
 import csv
@@ -13,11 +15,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-from .complexes import SimplicialComplex
+from .complexes import facet_complement_complex
 from .duality import alexander_dual_ideal, dual_complex_via_depolarization
 from .families import FAMILY_BUILDERS as FAMILIES
 from .homology import total_betti
-from .ideals import InputError, ResourceLimit, support
+from .ideals import InputError, ResourceLimit
 from .polarization import polarize_ideal
 
 CSV_SCHEMA = "schema=1"
@@ -49,37 +51,38 @@ class BenchRecord:
         return None
 
 
-def complex_dual_to(P):
-    """The complex whose facet-complement ideal is the squarefree ideal P."""
-    full = (1 << P.n) - 1
-    facets = sorted(full ^ sum(1 << i for i in support(g)) for g in P.gens)
-    return SimplicialComplex(P.ring.variables, facets)
-
-
 def _measure_cell(family, params, size_res):
+    """Yield the cell's fields as each is measured.  The direct dual of
+    the polarization, the step most likely to time out, runs after the
+    round trip."""
     J = FAMILIES[family](**params)
-    out = {"n": J.n, "gens_J": len(J.gens)}
-    # untimed: the first dual in a fresh process pays a one-off warm-up
-    alexander_dual_ideal(FAMILIES["power"](n=2, k=2))
+    yield {"n": J.n, "gens_J": len(J.gens)}
+    # untimed: the first dual and round trip in a fresh process pay a
+    # one-off warm-up
+    warm = FAMILIES["power"](n=2, k=2)
+    alexander_dual_ideal(warm)
+    dual_complex_via_depolarization(
+        facet_complement_complex(polarize_ideal(warm)[0]))
     t0 = time.perf_counter()
     Jdual = alexander_dual_ideal(J)
-    out["t_Jdual_ms"] = (time.perf_counter() - t0) * 1000.0
-    out["gens_Jdual"] = len(Jdual.gens)
+    yield {"t_Jdual_ms": (time.perf_counter() - t0) * 1000.0,
+           "gens_Jdual": len(Jdual.gens)}
     P, _ = polarize_ideal(J)
-    out["n_prime"] = P.n
+    yield {"n_prime": P.n}
+    cx = facet_complement_complex(P)
     t0 = time.perf_counter()
-    Pdual = alexander_dual_ideal(P)
-    out["t_IDelta_ms"] = (time.perf_counter() - t0) * 1000.0
-    out["gens_IDelta"] = len(Pdual.gens)
     try:
-        t0 = time.perf_counter()
-        dual_complex_via_depolarization(complex_dual_to(P))
-        out["t_alg1_ms"] = (time.perf_counter() - t0) * 1000.0
+        dual_complex_via_depolarization(cx)
     except ResourceLimit:
         pass
+    else:
+        yield {"t_alg1_ms": (time.perf_counter() - t0) * 1000.0}
+    t0 = time.perf_counter()
+    Pdual = alexander_dual_ideal(P)
+    yield {"t_IDelta_ms": (time.perf_counter() - t0) * 1000.0,
+           "gens_IDelta": len(Pdual.gens)}
     if size_res:
-        out["size_res"] = sum(total_betti(J))
-    return out
+        yield {"size_res": sum(total_betti(J))}
 
 
 def _cell_worker(conn, family, params, mem_mb, size_res):
@@ -87,7 +90,9 @@ def _cell_worker(conn, family, params, mem_mb, size_res):
         if mem_mb:
             cap = mem_mb * 2 ** 20
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-        payload = ("ok", _measure_cell(family, params, size_res))
+        for part in _measure_cell(family, params, size_res):
+            conn.send(("part", part))
+        payload = ("ok", None)
     except (MemoryError, ResourceLimit):
         payload = ("oom", None)
     except Exception as exc:  # surfaced by the parent
@@ -108,13 +113,19 @@ def run_cell(family, params, timeout_s=300, mem_mb=None, size_res=False):
         target=_cell_worker, args=(child, family, params, mem_mb, size_res))
     proc.start()
     child.close()
+    deadline = time.monotonic() + timeout_s
+    status = "part"
     try:
-        if parent.poll(timeout_s):
+        while status == "part":
+            if not parent.poll(max(0.0, deadline - time.monotonic())):
+                status = "timeout"
+                break
             status, payload = parent.recv()
-        else:
-            status, payload = "timeout", None
+            if status == "part":
+                for key, val in payload.items():
+                    setattr(record, key, val)
     except EOFError:
-        status, payload = "oom", None
+        status = "oom"
     finally:
         parent.close()
         if proc.is_alive():
@@ -122,11 +133,7 @@ def run_cell(family, params, timeout_s=300, mem_mb=None, size_res=False):
         proc.join()
     if status == "error":
         raise RuntimeError(f"bench cell {family} {params} failed: {payload}")
-    if status == "ok":
-        for key, val in payload.items():
-            setattr(record, key, val)
-    else:
-        record.status = status
+    record.status = status
     return record
 
 

@@ -6,9 +6,13 @@ kinds are distinguished: void (no faces at all), irrelevant (only the empty
 face) and proper.
 """
 
-from .hypergraph import bits_of, maximal_masks, transversal_masks
-from .ideals import (InputError, MonomialIdeal, ResourceLimit, Ring, divides,
-                     support)
+import itertools
+
+import numpy as np
+
+from .hypergraph import (alexander_dual_ideal, bits_of, from_words,
+                         maximal_masks, rows_to_words)
+from .ideals import InputError, MonomialIdeal, ResourceLimit, Ring, divides
 
 DEFAULT_FACE_CAP = 2 ** 22
 
@@ -177,17 +181,30 @@ def facet_complement_ideal(cx):
     return MonomialIdeal(Ring(cx.vertices), sorted(gens))
 
 
+def facet_complement_complex(I):
+    """The complex whose facets are the complements of the generator
+    supports of the squarefree ideal I: the inverse of
+    facet_complement_ideal.  The zero ideal gives the void complex."""
+    try:
+        # 0/1 exponents, so each fits one byte; bytes() refuses one past 255
+        rows = np.frombuffer(bytes(itertools.chain.from_iterable(I.gens)),
+                             dtype=np.uint8)
+        if (rows > 1).any():
+            raise ValueError
+    except ValueError:
+        raise InputError("facet_complement_complex needs a squarefree ideal") from None
+    facets = from_words(rows_to_words(rows.reshape(-1, I.n) == 0))
+    return SimplicialComplex(I.ring.variables, sorted(facets))
+
+
 def stanley_reisner_ideal(cx, cap=None):
-    """Ideal of minimal non-faces, via transversals of facet complements."""
+    """Ideal of minimal non-faces: the dual of the facet complement ideal,
+    whose generators are the minimal transversals of the facet complements."""
     if cx.kind != "proper":
         raise InputError("Stanley-Reisner ideal needs a proper complex")
-    ring = Ring(cx.vertices)
     if cx.is_full_simplex():
-        return MonomialIdeal(ring, ())
-    full = (1 << cx.n) - 1
-    masks = transversal_masks((full ^ f for f in cx.facets), cx.n, cap)
-    gens = sorted(tuple((m >> i) & 1 for i in range(cx.n)) for m in masks)
-    return MonomialIdeal(ring, gens)
+        return MonomialIdeal(Ring(cx.vertices), ())
+    return alexander_dual_ideal(facet_complement_ideal(cx), cap=cap)
 
 
 def complex_of_squarefree_ideal(I, cap=None):
@@ -197,14 +214,15 @@ def complex_of_squarefree_ideal(I, cap=None):
     """
     if not I.is_squarefree():
         raise InputError("complex_of_squarefree_ideal needs a squarefree ideal")
-    full = (1 << I.n) - 1
-    edges = [sum(1 << i for i in support(g)) for g in I.gens]
-    masks = transversal_masks(edges, I.n, cap)
-    return SimplicialComplex(I.ring.variables, sorted(full ^ m for m in masks))
+    if I.is_zero:
+        return SimplicialComplex(I.ring.variables, ((1 << I.n) - 1,))
+    return facet_complement_complex(alexander_dual_ideal(I, cap=cap))
 
 
 def alexander_dual_complex(cx, cap=None):
-    """Dual complex {sigma : complement(sigma) not a face}, computed directly.
+    """Dual complex {sigma : complement(sigma) not a face}, without
+    depolarizing: dual_complex_via_depolarization is the same pipeline
+    with a depolarize and a repolarize step around the dual.
 
     Facets are the complements of the minimal non-faces.  The irrelevant
     complex dualizes to the boundary of the simplex and vice versa; the
@@ -212,10 +230,8 @@ def alexander_dual_complex(cx, cap=None):
     """
     if cx.kind == "void":
         raise InputError("the void complex has no Alexander dual")
-    full = (1 << cx.n) - 1
     if cx.kind == "irrelevant":
+        full = (1 << cx.n) - 1
         return SimplicialComplex(cx.vertices,
                                  sorted(full ^ (1 << i) for i in range(cx.n)))
-    sr = stanley_reisner_ideal(cx, cap)
-    facets = sorted(full ^ sum(1 << i for i in support(g)) for g in sr.gens)
-    return SimplicialComplex(cx.vertices, facets)
+    return facet_complement_complex(stanley_reisner_ideal(cx, cap))

@@ -1,16 +1,20 @@
-"""Alexander duality of monomial ideals, and dual complexes via depolarization."""
+"""Alexander duality of monomial ideals, and dual complexes via depolarization.
 
-import itertools
+alexander_dual_ideal lives beside the Berge fold in hypergraph and is
+imported here; this module carries the dual of a depolarization back to
+the polarized ring.
+"""
+
 import math
 import time
 
 import numpy as np
 
-from .complexes import SimplicialComplex, facet_complement_ideal
+from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import berge_fold, block_popcounts, from_words, rows_to_words
+from .hypergraph import alexander_dual_ideal
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, check_exponent,
-                     divides, divisible_by_any, support)
+                     divides, divisible_by_any)
 from .polarization import PolarVariableMap
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -27,62 +31,6 @@ def a_minus(a, nu):
             raise InputError(f"{nu} exceeds the dual bound {a}")
         out.append(top + 1 - e if e > 0 else 0)
     return tuple(out)
-
-
-def alexander_dual_ideal(I, a=None, cap=None):
-    """Minimal generators of the Alexander dual of I with respect to a.
-
-    a defaults to the lcm exponent of I and must dominate it.  The dual is
-    the intersection of the irreducible ideals m^(a minus g); g's ideal
-    holds t when t_i >= a_i + 1 - g_i for some i in supp(g).  Variable i
-    gets one slot per distinct level its generators ask for, at most a_i,
-    and t sets the slots of block i up to t_i.  hypergraph.berge_fold
-    folds the generators in, in colex order, on W-word bitsets.
-    """
-    if I.is_zero:
-        raise InputError("the zero ideal dualizes to the unit ideal")
-    mu = I.lcm_exponent()
-    if a is None:
-        a = mu
-    else:
-        a = check_exponent(a, I.n)
-        if not divides(mu, a):
-            raise InputError(f"dual bound {a} must dominate {mu}")
-    # colex order; on squarefree generators it is the ascending mask order
-    # transversal_masks folds in
-    G = np.array(sorted(I.gens, key=lambda g: g[::-1]), dtype=np.int64)
-    used = G > 0
-    # key = variable * base + level; the sorted used keys number the slots
-    base = max(a) + 2
-    key = np.arange(I.n) * base + (np.array(a, dtype=np.int64) + 1 - G)
-    keys = np.unique(key[used])
-    block, level = np.divmod(keys, base)
-    T = berge_fold(np.where(used, np.searchsorted(keys, key), -1),
-                   np.searchsorted(block, block), cap)
-    lo = np.searchsorted(block, np.arange(I.n))
-    hi = np.searchsorted(block, np.arange(I.n), side="right")
-    filled = block_popcounts(T, lo.tolist(), hi.tolist())
-    # the top slot set in block i holds t_i
-    exps = np.where(filled > 0, level[lo + filled - 1], 0)
-    return MonomialIdeal(I.ring, sorted(map(tuple, exps.tolist())))
-
-
-def expansion_set(nu, mu):
-    """The raw fiber of a dual generator: all 0/1 vectors in the polarized
-    ring of mu choosing one slot j_i <= (mu minus nu)_i per i in supp(nu)."""
-    r = a_minus(mu, nu)
-    offsets, start = [], 0
-    for size in mu:
-        offsets.append(start)
-        start += size
-    supp = list(support(nu))
-    out = []
-    for choice in itertools.product(*[range(r[i]) for i in supp]):
-        vec = [0] * start
-        for i, j in zip(supp, choice):
-            vec[offsets[i] + j] = 1
-        out.append(tuple(vec))
-    return out
 
 
 def _blocks_of(mapping):
@@ -208,11 +156,5 @@ def dual_complex_via_depolarization(cx, partition=None,
                                    for g in Jdual.gens)
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
     report["gens_final"] = len(final.gens)
-    t0 = time.perf_counter()
-    # 0/1 rows, so each entry fits one byte
-    rows = np.frombuffer(bytes(itertools.chain.from_iterable(final.gens)),
-                         dtype=np.uint8).reshape(-1, cx.n)
-    facets = sorted(from_words(rows_to_words(rows == 0)))
-    dual = SimplicialComplex(cx.vertices, facets)
-    report["ms_per_step"]["complements"] = (time.perf_counter() - t0) * 1000.0
+    dual = clock("complements", facet_complement_complex, final)
     return dual, report

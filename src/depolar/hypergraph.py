@@ -1,4 +1,4 @@
-"""Minimal transversals and Alexander duals by one Berge fold over bitsets.
+"""Alexander duals by one Berge fold over bitsets.
 
 A slot set is a W-word bitset, W = ceil(slots / 64): slot s is bit s % 64
 of word s // 64.  An array of N bitsets is stored word-major, shape (W, N)
@@ -9,12 +9,14 @@ Slots come in blocks, one per variable with one slot per exponent level.
 A monomial is the mask that sets each block up to its level there, so
 divisibility is containment, the level is the block's popcount, and raising
 a coordinate to a level is an OR with a block prefix.  A vertex set is the
-case of one slot per block.
+case of one slot per block, and the dual of a squarefree ideal is the set
+of minimal transversals of its generator supports.
 """
 
 import numpy as np
 
-from .ideals import InputError, ResourceLimit
+from .ideals import (InputError, MonomialIdeal, ResourceLimit, check_exponent,
+                     divides)
 
 _M1, _M2, _M4, _H = map(np.uint64, (0x5555555555555555, 0x3333333333333333,
                                      0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
@@ -175,35 +177,41 @@ def berge_fold(hits, starts, cap=None):
     return T
 
 
-def transversal_masks(edge_masks, nverts, cap=None):
-    """All inclusion-minimal transversal masks of the given edge masks.
+def alexander_dual_ideal(I, a=None, cap=None):
+    """Minimal generators of the Alexander dual of I with respect to a.
 
-    The fold with one slot per vertex, over the minimal edges in ascending
-    mask order: once every edge inside the first k vertices is in, the
-    state is the transversal set of those edges, never larger than the
-    final one.  An empty edge can never be met; no edges at all admit the
-    empty transversal.
+    a defaults to the lcm exponent of I and must dominate it.  The dual is
+    the intersection of the irreducible ideals m^(a minus g); g's ideal
+    holds t when t_i >= a_i + 1 - g_i for some i in supp(g).  Variable i
+    gets one slot per distinct level its generators ask for, at most a_i,
+    and t sets the slots of block i up to t_i.  berge_fold folds the
+    generators in, in colex order, on W-word bitsets.  Every dual of the
+    package, complexes included, is computed here.
     """
-    edge_masks = list(edge_masks)
-    if any(e == 0 for e in edge_masks):
-        raise InputError("an empty edge has no transversal")
-    if not edge_masks:
-        return [0]
-    edges = [bits_of(e) for e in minimal_masks(edge_masks)]
-    width = max(map(len, edges))
-    hits = [e + [-1] * (width - len(e)) for e in edges]
-    return sorted(from_words(berge_fold(hits, np.arange(nverts), cap)))
-
-
-def minimal_transversals(edges, nverts=None, cap=None):
-    """Minimal hitting sets of a hypergraph given as vertex-id collections."""
-    edges = [sorted(set(e)) for e in edges]
-    flat = [v for e in edges for v in e]
-    if any(not isinstance(v, int) or v < 0 for v in flat):
-        raise InputError("vertex ids must be nonnegative integers")
-    if nverts is None:
-        nverts = max(flat, default=-1) + 1
-    elif flat and max(flat) >= nverts:
-        raise InputError("vertex id out of range")
-    masks = transversal_masks((sum(1 << v for v in e) for e in edges), nverts, cap)
-    return [tuple(bits_of(m)) for m in masks]
+    if I.is_zero:
+        raise InputError("the zero ideal dualizes to the unit ideal")
+    mu = I.lcm_exponent()
+    if a is None:
+        a = mu
+    else:
+        a = check_exponent(a, I.n)
+        if not divides(mu, a):
+            raise InputError(f"dual bound {a} must dominate {mu}")
+    # colex order; on squarefree generators it is the ascending mask order,
+    # so once every edge inside the first k vertices is in, the state is the
+    # transversal set of those edges, never larger than the final one
+    G = np.array(sorted(I.gens, key=lambda g: g[::-1]), dtype=np.int64)
+    used = G > 0
+    # key = variable * base + level; the sorted used keys number the slots
+    base = max(a) + 2
+    key = np.arange(I.n) * base + (np.array(a, dtype=np.int64) + 1 - G)
+    keys = np.unique(key[used])
+    block, level = np.divmod(keys, base)
+    T = berge_fold(np.where(used, np.searchsorted(keys, key), -1),
+                   np.searchsorted(block, block), cap)
+    lo = np.searchsorted(block, np.arange(I.n))
+    hi = np.searchsorted(block, np.arange(I.n), side="right")
+    filled = block_popcounts(T, lo.tolist(), hi.tolist())
+    # the top slot set in block i holds t_i
+    exps = np.where(filled > 0, level[lo + filled - 1], 0)
+    return MonomialIdeal(I.ring, sorted(map(tuple, exps.tolist())))

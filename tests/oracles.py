@@ -91,8 +91,33 @@ def transversals(edges, nverts):
     return minimal_sets(hitting)
 
 
+def edge_rows(edges, nverts):
+    """0/1 exponent rows of the edges, one column per vertex."""
+    return [tuple(int(v in e) for v in range(nverts)) for e in edges]
+
+
+def supports(gens):
+    return sorted((frozenset(i for i, e in enumerate(g) if e) for g in gens),
+                  key=set_key)
+
+
 def a_minus(a, nu):
     return tuple(a[i] + 1 - nu[i] if nu[i] > 0 else 0 for i in range(len(a)))
+
+
+def expansion_set(nu, mu):
+    """The raw fiber of a dual generator: all 0/1 vectors in the polarized
+    ring of mu choosing one slot j_i <= (mu minus nu)_i per i in supp(nu)."""
+    r = a_minus(mu, nu)
+    offsets = list(itertools.accumulate(mu, initial=0))
+    supp = [i for i in range(len(mu)) if nu[i] > 0]
+    out = []
+    for choice in itertools.product(*[range(r[i]) for i in supp]):
+        vec = [0] * offsets[-1]
+        for i, j in zip(supp, choice):
+            vec[offsets[i] + j] = 1
+        out.append(tuple(vec))
+    return out
 
 
 def dual_ideal(gens, a=None):

@@ -1,10 +1,13 @@
+import itertools
+
 import pytest
 
 import oracles
 from depolar import (InputError, MonomialIdeal, Ring, SimplicialComplex,
                      alexander_dual_complex, complex_of_squarefree_ideal,
-                     depolarize, facet_complement_ideal, koszul_complex,
-                     stanley_reisner_ideal)
+                     depolarize, dual_complex_via_depolarization,
+                     facet_complement_complex, facet_complement_ideal,
+                     koszul_complex, stanley_reisner_ideal)
 from depolar.ideals import ResourceLimit
 
 
@@ -106,6 +109,26 @@ def test_facet_complement_ideal_golden():
         facet_complement_ideal(cx_of(2, [[]]))
 
 
+def test_facet_complement_complex_inverts_facet_ideal(rng):
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        R = Ring([f"x{i}" for i in range(n)])
+        gens = set()
+        for _ in range(rng.randint(1, 4)):
+            g = tuple(1 if rng.random() < 0.5 else 0 for _ in range(n))
+            if any(g) and not all(g):
+                gens.add(g)
+        if not gens:
+            continue
+        P = MonomialIdeal.from_gens(R, sorted(gens))
+        assert facet_complement_ideal(facet_complement_complex(P)) == P
+    R = Ring(["x", "y"])
+    assert facet_complement_complex(MonomialIdeal(R, ())).kind == "void"
+    for g in [(2, 0), (300, 1)]:
+        with pytest.raises(InputError):
+            facet_complement_complex(MonomialIdeal(R, [g]))
+
+
 def test_depolarized_complement_has_circle_homology_shape():
     # the 6-vertex complex above depolarizes to three pure powers whose
     # Koszul complex is the hollow triangle
@@ -171,6 +194,49 @@ def test_alexander_dual_complex_edges():
     assert alexander_dual_complex(cx_of(2, [[1, 2]])).kind == "void"
     bd = cx_of(3, [[1, 2], [1, 3], [2, 3]])
     assert alexander_dual_complex(bd).kind == "irrelevant"
+
+
+def test_duals_of_wide_complexes(rng):
+    # a complex on 6 core vertices, some of them at word boundaries, coned
+    # over C and padded with isolated vertices Z: the minimal non-faces are
+    # those of the core and the single vertices of Z.  The folds run on
+    # n - c slots, one word up to 64 and two or three past it.
+    boundary = (0, 1, 2, 3, 61, 62, 63, 64, 65, 127, 128, 129)
+    for n in (63, 64, 65, 130):
+        verts = [f"v{i}" for i in range(n)]
+        full = (1 << n) - 1
+        for c in (0, 1, 3):
+            core = rng.sample([v for v in boundary if v < n], 6)
+            rest = [v for v in range(n) if v not in core]
+            rng.shuffle(rest)
+            cone, isolated = rest[:c], rest[c:]
+            # two complementary facets that no other facet contains, so
+            # only C is in every facet
+            half = rng.sample(range(6), rng.randint(1, 5))
+            local = [half, [i for i in range(6) if i not in half]]
+            for _ in range(rng.randint(1, 3)):
+                local.append([i for part in local[:2] if len(part) > 1
+                              for i in rng.sample(part, len(part) - 1)])
+            cx = SimplicialComplex.normalize(verts, [
+                sum(1 << v for v in [core[i] for i in f] + cone)
+                for f in local])
+            faces = oracles.closure_faces(local)
+            core_nonfaces = oracles.minimal_sets(
+                frozenset(s) for r in range(7)
+                for s in itertools.combinations(range(6), r)
+                if frozenset(s) not in faces)
+            want = sorted([frozenset(core[i] for i in s)
+                           for s in core_nonfaces]
+                          + [frozenset({z}) for z in isolated],
+                          key=oracles.set_key)
+            sr = stanley_reisner_ideal(cx)
+            assert oracles.supports(sr.gens) == want
+            assert complex_of_squarefree_ideal(sr) == cx
+            dual = alexander_dual_complex(cx)
+            assert dual.facets == tuple(sorted(
+                full ^ sum(1 << v for v in s) for s in want))
+            assert alexander_dual_complex(dual) == cx
+            assert dual_complex_via_depolarization(cx)[0] == dual
 
 
 def test_dict_roundtrip():

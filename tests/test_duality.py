@@ -1,16 +1,17 @@
 """Alexander duals: folds, expansion through a depolarization, pipeline."""
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
 import oracles
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
-from depolar.duality import (a_minus, alexander_dual_ideal, expansion_set,
-                             repolarize_dual, dual_complex_via_depolarization)
+from depolar.duality import (a_minus, alexander_dual_ideal, repolarize_dual,
+                             dual_complex_via_depolarization)
 from depolar import hypergraph
-from depolar.hypergraph import minimal_transversals
 from depolar.polarization import polarize_ideal
 from depolar.depolarization import depolarize
 from depolar.complexes import SimplicialComplex, alexander_dual_complex
@@ -180,10 +181,10 @@ def test_dual_respects_cap():
 
 def test_expansion_set_golden():
     mu = (4, 3, 3)
-    sizes = {nu: len(expansion_set(nu, mu))
+    sizes = {nu: len(oracles.expansion_set(nu, mu))
              for nu in [(1, 0, 2), (1, 1, 1), (2, 0, 1), (4, 3, 0)]}
     assert sizes == {(1, 0, 2): 8, (1, 1, 1): 36, (2, 0, 1): 9, (4, 3, 0): 1}
-    for vec in expansion_set((1, 0, 2), mu):
+    for vec in oracles.expansion_set((1, 0, 2), mu):
         assert len(vec) == 10
         assert set(vec) <= {0, 1}
         assert sum(vec) == 2
@@ -250,6 +251,13 @@ def test_repolarize_cap_bounds_one_support():
                         pmap)
 
 
+def transversals(edges, nverts, cap=None):
+    """Minimal transversals as the dual of the squarefree ideal of the edges."""
+    ring = Ring([f"v{i}" for i in range(nverts)])
+    I = MonomialIdeal.from_gens(ring, oracles.edge_rows(edges, nverts))
+    return oracles.supports(alexander_dual_ideal(I, cap=cap).gens)
+
+
 def test_minimal_transversals_matches_oracle(rng):
     for _ in range(150):
         nverts = rng.randint(1, 10)
@@ -258,35 +266,57 @@ def test_minimal_transversals_matches_oracle(rng):
             e = [v for v in range(nverts) if rng.random() < 0.4]
             if e:
                 edges.append(tuple(e))
-        got = sorted((frozenset(t) for t in minimal_transversals(edges, nverts)),
-                     key=oracles.set_key)
-        assert got == oracles.transversals(edges, nverts)
+        if edges:  # no edges is the zero ideal, whose dual is refused
+            assert transversals(edges, nverts) == \
+                oracles.transversals(edges, nverts)
 
 
 def test_transversals_across_word_boundaries():
+    # the edge of all vertices changes no answer but uses every variable,
+    # so slot v is vertex v and the fold runs on 2 to 4 words
+    def got(edges, nverts):
+        return sorted(tuple(sorted(t)) for t in
+                      transversals(edges + [range(nverts)], nverts))
+
     # disjoint edges: the minimal transversals pick one vertex from each
     edges = [(0, 1), (62, 63, 64, 65), (126, 127, 128, 129), (190, 191)]
     for nverts in (192, 200):
-        got = sorted(minimal_transversals(edges, nverts))
-        assert got == sorted(itertools.product(*edges))
-    assert sorted(minimal_transversals([(63, 64), (64, 127, 128)], 129)) == \
+        assert got(edges, nverts) == sorted(itertools.product(*edges))
+    assert got([(63, 64), (64, 127, 128)], 129) == \
         [(63, 127), (63, 128), (64,)]
-    assert sorted(minimal_transversals([(63,), (64,), (127, 128)])) == \
+    assert got([(63,), (64,), (127, 128)], 129) == \
         [(63, 64, 127), (63, 64, 128)]
 
 
 def test_minimal_transversals_edges():
-    assert minimal_transversals([]) == [()]
-    assert minimal_transversals([(0, 1), (2,)]) == [(0, 2), (1, 2)]
+    assert transversals([(0, 1), (2,)], 3) == \
+        [frozenset({0, 2}), frozenset({1, 2})]
+    # an empty edge is the unit ideal
     with pytest.raises(InputError):
-        minimal_transversals([(0,), ()])
-    with pytest.raises(InputError):
-        minimal_transversals([(0, 5)], nverts=3)
-    with pytest.raises(InputError):
-        minimal_transversals([(-1,)])
+        transversals([(0,), ()], 2)
     with pytest.raises(ResourceLimit):
-        minimal_transversals(
-            [(2 * i, 2 * i + 1) for i in range(20)], cap=10)
+        transversals([(2 * i, 2 * i + 1) for i in range(20)], 40, cap=10)
+
+
+def test_berge_fold_has_one_caller():
+    # a second user of the fold would be a second encoder of its input
+    uses = []
+
+    def walk(node, where, module):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if "berge_fold" in names:
+            uses.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            walk(child, where, module)
+
+    for path in sorted(pathlib.Path(hypergraph.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), None, path.name)
+    assert uses == [("hypergraph.py", "alexander_dual_ideal")]
 
 
 DUAL_FACETS_OF_EXAMPLE = [

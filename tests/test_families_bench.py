@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import time
 from math import comb
 
 import pytest
@@ -10,9 +12,9 @@ import pytest
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.families import (gen_power_ideal, gen_variable_powers, gen_jknm,
                               gen_random_ideal, FAMILY_BUILDERS)
-from depolar.complexes import facet_complement_ideal
-from depolar.bench import (BenchRecord, complex_dual_to, run_cell, run_grid,
-                           bench_dual, table_cells, records_to_csv, CSV_SCHEMA)
+from depolar import bench
+from depolar.bench import (BenchRecord, run_cell, run_grid, bench_dual,
+                           table_cells, records_to_csv, CSV_SCHEMA)
 
 
 def test_power_ideal():
@@ -86,21 +88,6 @@ def test_record_ratios():
     assert r.ratio_vars() == pytest.approx(5.0)
 
 
-def test_complex_dual_to_inverts_facet_ideal(rng):
-    for _ in range(100):
-        n = rng.randint(2, 7)
-        R = Ring([f"x{i}" for i in range(n)])
-        gens = set()
-        for _ in range(rng.randint(1, 4)):
-            g = tuple(1 if rng.random() < 0.5 else 0 for _ in range(n))
-            if any(g) and not all(g):
-                gens.add(g)
-        if not gens:
-            continue
-        P = MonomialIdeal.from_gens(R, sorted(gens))
-        assert facet_complement_ideal(complex_dual_to(P)) == P
-
-
 def test_run_cell_golden():
     r = run_cell("jknm", {"n": 6}, size_res=True)
     assert r.status == "ok"
@@ -123,6 +110,24 @@ def test_run_cell_statuses():
         run_cell("frobnicate", {})
     with pytest.raises(RuntimeError):
         run_cell("power", {"n": 0, "k": 1})
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the cell process must inherit the patched dual")
+def test_timed_out_cell_keeps_its_earlier_fields(monkeypatch):
+    # the direct dual of the polarization, timed last, never returns
+    def stuck(I, *args, **kwargs):
+        if I.n > 2:
+            time.sleep(600)
+        return dual(I, *args, **kwargs)
+
+    dual = bench.alexander_dual_ideal
+    monkeypatch.setattr(bench, "alexander_dual_ideal", stuck)
+    r = run_cell("power", {"n": 2, "k": 3}, timeout_s=2)
+    assert r.status == "timeout"
+    assert (r.n, r.gens_J, r.n_prime) == (2, 4, 6)
+    assert r.gens_Jdual == 3 and r.t_Jdual_ms > 0 and r.t_alg1_ms > 0
+    assert r.t_IDelta_ms is None and r.gens_IDelta is None
 
 
 def test_run_grid_threads_keep_order():
