@@ -57,12 +57,6 @@ def _measure_cell(family, params, size_res):
     round trip."""
     J = FAMILIES[family](**params)
     yield {"n": J.n, "gens_J": len(J.gens)}
-    # untimed: the first dual and round trip in a fresh process pay a
-    # one-off warm-up
-    warm = FAMILIES["power"](n=2, k=2)
-    alexander_dual_ideal(warm)
-    dual_complex_via_depolarization(
-        facet_complement_complex(polarize_ideal(warm)[0]))
     t0 = time.perf_counter()
     Jdual = alexander_dual_ideal(J)
     yield {"t_Jdual_ms": (time.perf_counter() - t0) * 1000.0,
@@ -85,8 +79,19 @@ def _measure_cell(family, params, size_res):
         yield {"size_res": sum(total_betti(J))}
 
 
+def _warm_up():
+    """The first dual and round trip in a fresh process pay one-off costs,
+    lazy numpy imports among them: paid here, untimed and before the
+    memory cap, which would otherwise fail the imports."""
+    warm = FAMILIES["power"](n=2, k=2)
+    alexander_dual_ideal(warm)
+    dual_complex_via_depolarization(
+        facet_complement_complex(polarize_ideal(warm)[0]))
+
+
 def _cell_worker(conn, family, params, mem_mb, size_res):
     try:
+        _warm_up()
         if mem_mb:
             cap = mem_mb * 2 ** 20
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
