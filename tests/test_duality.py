@@ -273,7 +273,7 @@ def test_minimal_transversals_matches_oracle(rng):
 
 def test_transversals_across_word_boundaries():
     # the edge of all vertices changes no answer but uses every variable,
-    # so slot v is vertex v and the fold runs on 2 to 4 words
+    # so slot v is vertex v and the fold runs on 3 or 4 words
     def got(edges, nverts):
         return sorted(tuple(sorted(t)) for t in
                       transversals(edges + [range(nverts)], nverts))

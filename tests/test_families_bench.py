@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
+from depolar.ideals import InputError, ResourceLimit
 from depolar.families import (gen_power_ideal, gen_variable_powers, gen_jknm,
                               gen_random_ideal, FAMILY_BUILDERS)
 from depolar import bench
