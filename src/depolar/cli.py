@@ -155,8 +155,7 @@ def cmd_homology(args):
 
 def cmd_betti(args):
     I = load_ideal(args.infile)
-    table = graded_betti(I, threads=args.threads, p=args.mod,
-                         **face_cap_kw(args))
+    table = graded_betti(I, p=args.mod, **face_cap_kw(args))
     if args.quotient:
         table = table.to_quotient()
     if args.total:
@@ -212,7 +211,8 @@ def add_global_flags(parser, suppress=False):
     parser.add_argument("--format", choices=["json", "text", "csv"],
                         default=d("json"))
     parser.add_argument("--seed", type=int, default=d(0))
-    parser.add_argument("--threads", type=int, default=d(1))
+    parser.add_argument("--threads", type=int, default=d(1),
+                        help="benchmark cells run at once")
     parser.add_argument("--timeout", type=float, default=d(300.0),
                         help="per-cell benchmark timeout in seconds")
     parser.add_argument("--face-cap", type=int, default=d(None),

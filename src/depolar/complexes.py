@@ -12,7 +12,8 @@ import numpy as np
 
 from .hypergraph import (alexander_dual_ideal, bits_of, from_words,
                          maximal_masks, rows_to_words)
-from .ideals import InputError, MonomialIdeal, ResourceLimit, Ring, divides
+from .ideals import (InputError, MonomialIdeal, ResourceLimit, Ring,
+                     check_exponent)
 
 DEFAULT_FACE_CAP = 2 ** 22
 
@@ -148,22 +149,32 @@ class SimplicialComplex:
         return cls.from_faces(vertices, facets)
 
 
+def koszul_rows(G, M):
+    """The Koszul facets of a block of points M (k, n) against the
+    generators G (m, n): the (k, m) matrix of g | mu, and the 0/1 rows of
+    supp(mu - g) for its True entries in row-major order.  The rows of one
+    point span its complex K^mu."""
+    divides = (G[None, :, :] <= M[:, None, :]).all(axis=2)
+    point, gen = np.nonzero(divides)
+    return divides, G[gen] < M[point]
+
+
 def koszul_complex(I, mu=None):
     """Sets sigma inside supp(mu) with x^mu / x_sigma in I.
 
     Facets are the maximal supports supp(mu - g) over generators dividing
-    x^mu; the void complex signals x^mu not in I.
+    x^mu; the void complex signals x^mu not in I.  mu defaults to the lcm
+    exponent of I.
     """
+    if mu is not None:
+        mu = check_exponent(mu, I.n)
     if I.is_zero:
         return SimplicialComplex(I.ring.variables, ())
     if mu is None:
         mu = I.lcm_exponent()
-    masks = []
-    for g in I.gens:
-        if divides(g, mu):
-            masks.append(sum(1 << i for i, (a, b) in enumerate(zip(g, mu)) if a < b))
-    if not masks:
-        return SimplicialComplex(I.ring.variables, ())
+    _, rows = koszul_rows(np.array(I.gens, dtype=np.int64),
+                          np.array([mu], dtype=np.int64))
+    masks = from_words(rows_to_words(rows))
     return SimplicialComplex.normalize(I.ring.variables, masks)
 
 

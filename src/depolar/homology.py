@@ -4,12 +4,15 @@ Betti numbers of a monomial ideal come from reduced homology of its Koszul
 complexes: beta_{i,mu} = dim H~_{i-1}(K^mu_I), summed over the lcm lattice.
 """
 
+import operator
 from fractions import Fraction
-from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache, partial
+from functools import lru_cache, reduce
 from math import isqrt
 
-from .complexes import DEFAULT_FACE_CAP, koszul_complex
+import numpy as np
+
+from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex, koszul_complex,
+                        koszul_rows)
 from .ideals import (DEFAULT_LATTICE_CAP, InputError, Ring, check_exponent,
                      total_degree)
 
@@ -182,33 +185,74 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def _dims_at(I, face_cap, p, mu):
-    return mu, hochster_betti(I, mu, face_cap, p)
-
-
 def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
-                 threads=1, p=None):
-    """Sweep the lcm lattice and collect all nonzero beta_{i,mu}."""
+                 p=None):
+    """Sweep the lcm lattice and collect all nonzero beta_{i,mu}.
+
+    K^mu depends only on the lcm lattice below mu (Gasharov, Peeva and
+    Welker), so many points share one Koszul complex up to relabelling.
+    The points are walked in blocks of about 2M array entries.  At each
+    point the supp(mu - g) rows of the dividing generators are restricted
+    to the columns of their union, and the set of packed rows keys the
+    complex on vertices 0..c-1.  Distinct keys are built once, and the
+    homology is computed once per distinct facet tuple among them, in
+    memos that live for this call.  Points with one complex have equal
+    face counts, so face_cap fires at the point where it would computing
+    one complex per point.
+    """
+    _check_modulus(p)
     points = I.lcm_lattice(lattice_cap)
-    entries = {}
-    job = partial(_dims_at, I, face_cap, p)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(job, points,
-                               chunksize=max(1, len(points) // (threads * 8)))
-            results = list(results)
-    else:
-        results = map(job, points)
-    for mu, dims in results:
-        for i, d in enumerate(dims):
-            if d:
-                entries[(i, mu)] = d
+    G = np.array(I.gens, dtype=np.int64)
+    P = np.array(points, dtype=np.int64)
+    step = max(1, 2_000_000 // G.size)
+    by_rows, by_facets, entries = {}, {}, {}
+    for lo in range(0, len(points), step):
+        divides_mu, rows = koszul_rows(G, P[lo:lo + step])
+        # every lattice point has a divisor, so no point's run is empty
+        counts = divides_mu.sum(axis=1)
+        ends = np.cumsum(counts)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        union = np.logical_or.reduceat(rows, ends - counts, axis=0)
+        # move the union columns first, in order, so each row of a point
+        # reads as a set on vertices 0..c-1
+        inside = np.cumsum(union, axis=1)
+        target = np.where(union, inside, inside[:, -1:] + np.cumsum(
+            ~union, axis=1)) - 1
+        order = np.empty_like(target)
+        np.put_along_axis(order, target, np.arange(G.shape[1])[None, :],
+                          axis=1)
+        rows = np.take_along_axis(rows, order[owner], axis=1)
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0].tolist()
+        start = 0
+        for mu, end in zip(points[lo:lo + step], ends.tolist()):
+            key = frozenset(keys[start:end])
+            start = end
+            dims = by_rows.get(key)
+            if dims is None:
+                cx = _compact_koszul(key, I.ring.variables)
+                dims = by_facets.get(cx.facets)
+                if dims is None:
+                    dims = by_facets[cx.facets] = reduced_homology_dims(
+                        cx, face_cap, p)
+                by_rows[key] = dims
+            for i, d in enumerate(dims):
+                if d:
+                    entries[(i, mu)] = d
     return BettiTable(I.ring, entries)
 
 
+def _compact_koszul(key, names):
+    """The complex spanned by the packed rows of key on vertices 0..c-1,
+    named by the first c names."""
+    masks = [int.from_bytes(row, "little") for row in key]
+    c = reduce(operator.or_, masks).bit_length()
+    return SimplicialComplex.normalize(names[:c], masks)
+
+
 def total_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
-                threads=1, p=None):
-    return graded_betti(I, face_cap, lattice_cap, threads, p).totals()
+                p=None):
+    return graded_betti(I, face_cap, lattice_cap, p).totals()
 
 
 def betti_diagram(table):

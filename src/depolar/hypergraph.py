@@ -76,6 +76,87 @@ def rows_to_words(rows):
     return packed.view("<u8").astype(np.uint64).T
 
 
+def level_slots(L, used):
+    """Slot layout of the levels L, an (N, n) array of nonnegative ints, at
+    the used entries: column i gets one slot per distinct level it takes
+    there, in ascending order, and the blocks follow the column order.
+    Returns the slot of each entry (-1 where unused), the level of each
+    slot, and the first and one-past-last slot of each column's block."""
+    n = L.shape[1]
+    base = int(L.max()) + 1
+    key = np.arange(n) * base + L
+    keys = np.unique(key[used])
+    block, level = np.divmod(keys, base)
+    slot = np.where(used, np.searchsorted(keys, key), -1)
+    lo = np.searchsorted(block, np.arange(n))
+    hi = np.searchsorted(block, np.arange(n), side="right")
+    return slot, level, lo, hi
+
+
+def slot_levels(T, level, lo, hi):
+    """(N, n) levels of the (W, N) block-prefix masks T: in each block the
+    level of the top slot set, 0 where none is."""
+    filled = block_popcounts(T, lo.tolist(), hi.tolist())
+    return np.where(filled > 0, level[lo + filled - 1], 0)
+
+
+def _distinct(keys):
+    """The distinct keys, sorted, and the index of one copy of each."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first], order[first]
+
+
+def lcm_closure(G, cap):
+    """Exponent rows of the lcms of all nonempty subsets of the distinct
+    exponent rows G (N, n), in no fixed order.
+
+    Column i gets one slot per distinct nonzero level of its rows and a row
+    sets its block up to its level, so every lcm of rows is the OR of their
+    masks and levels decode back exactly.  The closure grows one frontier
+    round at a time, each new point joined with every row.  Points are
+    deduplicated on their W words viewed as one key (a uint64 when W is
+    1), and ResourceLimit is raised once a round leaves more than cap.
+    """
+    slot, level, lo, hi = level_slots(G, G > 0)
+    W = max(1, -(-len(level) // 64))
+    masks = np.empty((W, len(G)), dtype=np.uint64)
+    for w in range(W):
+        masks[w] = np.bitwise_or.reduce(
+            _low(slot + 1 - 64 * w) & ~_low(lo - 64 * w), axis=1)
+    key_type = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
+
+    def keys(arr):
+        return np.ascontiguousarray(arr.T).view(key_type).ravel()
+    seen = np.sort(keys(masks))
+    parts = [masks]
+    frontier = masks
+    total = masks.shape[1]
+    step = max(1, 2_000_000 // (W * len(G)))
+    while True:
+        new_keys, new_cols = [], []
+        for i in range(0, frontier.shape[1], step):
+            joins = (frontier[:, i:i + step, None]
+                     | masks[:, None, :]).reshape(W, -1)
+            k, idx = _distinct(keys(joins))
+            pos = np.minimum(np.searchsorted(seen, k), len(seen) - 1)
+            fresh = seen[pos] != k
+            new_keys.append(k[fresh])
+            new_cols.append(joins[:, idx[fresh]])
+        k, idx = _distinct(np.concatenate(new_keys))
+        frontier = np.concatenate(new_cols, axis=1)[:, idx]
+        total += len(k)
+        if total > cap:
+            raise ResourceLimit(f"lcm lattice exceeds cap {cap}")
+        if not len(k):
+            break
+        seen = np.sort(np.concatenate([seen, k]))
+        parts.append(frontier)
+    return slot_levels(np.concatenate(parts, axis=1), level, lo, hi)
+
+
 def block_popcounts(arr, lo, hi):
     """(N, B) bits set in each column of a (W, N) array within each slot
     range lo[b] <= s < hi[b]."""
@@ -201,17 +282,9 @@ def alexander_dual_ideal(I, a=None, cap=None):
     # so once every edge inside the first k vertices is in, the state is the
     # transversal set of those edges, never larger than the final one
     G = np.array(sorted(I.gens, key=lambda g: g[::-1]), dtype=np.int64)
-    used = G > 0
-    # key = variable * base + level; the sorted used keys number the slots
-    base = max(a) + 2
-    key = np.arange(I.n) * base + (np.array(a, dtype=np.int64) + 1 - G)
-    keys = np.unique(key[used])
-    block, level = np.divmod(keys, base)
-    T = berge_fold(np.where(used, np.searchsorted(keys, key), -1),
-                   np.searchsorted(block, block), cap)
-    lo = np.searchsorted(block, np.arange(I.n))
-    hi = np.searchsorted(block, np.arange(I.n), side="right")
-    filled = block_popcounts(T, lo.tolist(), hi.tolist())
+    slot, level, lo, hi = level_slots(np.array(a, dtype=np.int64) + 1 - G,
+                                      G > 0)
+    T = berge_fold(slot, np.repeat(lo, hi - lo), cap)
     # the top slot set in block i holds t_i
-    exps = np.where(filled > 0, level[lo + filled - 1], 0)
+    exps = slot_levels(T, level, lo, hi)
     return MonomialIdeal(I.ring, sorted(map(tuple, exps.tolist())))

@@ -258,24 +258,14 @@ class MonomialIdeal:
                              sorted(tuple(map(int, r)) for r in keep))
 
     def lcm_lattice(self, cap=DEFAULT_LATTICE_CAP):
-        """All lcms of nonempty generator subsets, via pairwise-lcm fixpoint."""
+        """All lcms of nonempty generator subsets, lex sorted: the OR
+        closure of the generators' level masks (hypergraph.lcm_closure)."""
+        # hypergraph imports this module, so it is imported here
+        from .hypergraph import lcm_closure
         if self.is_zero:
             raise InputError("the zero ideal has no lcm lattice")
-        G = np.array(self.gens, dtype=np.int64)
-        points = set(self.gens)
-        frontier = list(self.gens)
-        while frontier:
-            F = np.array(frontier, dtype=np.int64)
-            joins = np.maximum(F[:, None, :], G[None, :, :]).reshape(-1, self.n)
-            frontier = []
-            for row in np.unique(joins, axis=0):
-                t = tuple(map(int, row))
-                if t not in points:
-                    points.add(t)
-                    frontier.append(t)
-            if len(points) > cap:
-                raise ResourceLimit(f"lcm lattice exceeds cap {cap}")
-        return sorted(points)
+        points = lcm_closure(np.array(self.gens, dtype=np.int64), cap)
+        return sorted(map(tuple, points.tolist()))
 
     def to_dict(self):
         return {"variables": list(self.ring.variables),

@@ -215,7 +215,7 @@ def test_criterion_3_betti_numbers():
     assert t_small < 30
 
     t0 = time.perf_counter()
-    T = graded_betti(gen_variable_powers(10, 4), threads=4)
+    T = graded_betti(gen_variable_powers(10, 4))
     assert T.totals() == [comb(10, i + 1) for i in range(10)]
     t_big = time.perf_counter() - t0
     assert t_big < 600

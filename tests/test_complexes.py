@@ -8,6 +8,7 @@ from depolar import (InputError, MonomialIdeal, Ring, SimplicialComplex,
                      depolarize, dual_complex_via_depolarization,
                      facet_complement_complex, facet_complement_ideal,
                      koszul_complex, stanley_reisner_ideal)
+from depolar.homology import hochster_betti
 from depolar.ideals import ResourceLimit
 
 
@@ -96,6 +97,19 @@ def test_koszul_complex_off_lattice_is_void():
     I = MonomialIdeal.from_gens(Ring(["x", "y"]), [(2, 0), (0, 2)])
     assert koszul_complex(I, (1, 1)).kind == "void"
     assert koszul_complex(MonomialIdeal(Ring(["x"]), ())).kind == "void"
+
+
+def test_koszul_complex_rejects_bad_multidegree():
+    I = MonomialIdeal.from_gens(Ring(["a", "b", "c"]),
+                                [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    for mu in ((2, 1), (2, 1, 1, 7), (2.5, 1, 1)):
+        with pytest.raises(InputError):
+            koszul_complex(I, mu)
+        with pytest.raises(InputError):
+            hochster_betti(I, mu)
+    with pytest.raises(InputError):
+        koszul_complex(MonomialIdeal(Ring(["x"]), ()), (1, 1))
+    assert koszul_complex(I, [2, 1, 1]) == koszul_complex(I, (2, 1, 1))
 
 
 def test_facet_complement_ideal_golden():

@@ -1,8 +1,12 @@
 """Exact simplicial homology, Koszul-complex Betti numbers, tables."""
 
+import json
+import random
+
 import pytest
 
 import oracles
+from depolar import homology
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.complexes import SimplicialComplex
 from depolar.homology import (reduced_homology_dims, hochster_betti,
@@ -85,10 +89,59 @@ def test_hochster_betti_golden():
     assert graded_betti(I).totals() == [3, 2]
 
 
-def test_graded_betti_matches_oracle(rng):
-    for _ in range(60):
-        I = random_ideal(rng, rng.randint(1, 3), rng.randint(1, 4), 2)
-        assert graded_betti(I).entries == oracles.betti_numbers(list(I.gens))
+def test_graded_betti_matches_oracle(rng, monkeypatch):
+    # Koszul complexes of up to 5 variables live on at most 5 vertices,
+    # too few for torsion, so the rational oracle holds over F_2 and F_3
+    calls = []
+    monkeypatch.setattr(homology, "reduced_homology_dims",
+                        lambda *a: calls.append(1) or reduced_homology_dims(*a))
+    points = 0
+    for _ in range(80):
+        I = random_ideal(rng, rng.randint(1, 5), rng.randint(1, 8), 3)
+        want = oracles.betti_numbers(list(I.gens))
+        points += 3 * len(I.lcm_lattice())
+        for p in (None, 2, 3):
+            T = graded_betti(I, p=p)
+            assert T.entries == want
+            assert all(type(e) is int for _, mu in T.entries for e in mu)
+            json.dumps(T.to_dict())
+    # the per-call memo both hits and misses
+    assert 0 < len(calls) < points
+
+
+def test_graded_betti_checks_modulus_first():
+    I = random_ideal(random.Random(3), 4, 6, 2)
+    with pytest.raises(InputError):
+        graded_betti(I, p=4, lattice_cap=1)
+    with pytest.raises(ResourceLimit):
+        graded_betti(I, lattice_cap=1)
+
+
+def test_graded_betti_homology_once_per_complex(monkeypatch):
+    # at the lcm of k of the squares the Koszul complex is the boundary of
+    # a (k - 1)-simplex on those k variables: 15 points, 4 complexes
+    I = MonomialIdeal.from_gens(Ring(["a", "b", "c", "d"]),
+                                [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),
+                                 (0, 0, 0, 2)])
+    calls = []
+    monkeypatch.setattr(homology, "reduced_homology_dims",
+                        lambda *a: calls.append(1) or reduced_homology_dims(*a))
+    assert len(I.lcm_lattice()) == 15
+    assert graded_betti(I).totals() == [4, 6, 4, 1]
+    assert len(calls) == 4
+
+
+def test_graded_betti_memo_is_per_call():
+    # at (1, 1, 1) the Koszul complex is the hollow triangle: 7 faces
+    I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),
+                                [(1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2)])
+    want = oracles.betti_numbers(list(I.gens))
+    assert graded_betti(I, face_cap=8).entries == want
+    # a memo kept across calls would answer these from the call above
+    for _ in range(2):
+        with pytest.raises(ResourceLimit):
+            graded_betti(I, face_cap=4)
+    assert graded_betti(I, face_cap=8).entries == want
 
 
 def test_total_betti_goldens():
@@ -104,7 +157,7 @@ def test_graded_betti_threads_and_prime():
     R = Ring(["a", "b", "c"])
     I = MonomialIdeal.from_gens(R, [(2, 1, 0), (0, 1, 1), (1, 0, 2)])
     base = graded_betti(I)
-    assert graded_betti(I, threads=2).entries == base.entries
+    assert graded_betti(I).entries == base.entries
     assert graded_betti(I, p=32003).entries == base.entries
     # the largest prime below 2^31; its trial division runs once per sweep
     assert graded_betti(I, p=2 ** 31 - 1).entries == base.entries

@@ -102,6 +102,27 @@ def test_lcm_lattice_matches_subset_closure(rng):
         assert I.lcm_lattice() == oracles.lcm_closure(list(I.gens))
 
 
+def slot_count(I):
+    """Slots of the lattice masks: distinct nonzero levels per variable."""
+    return sum(len(set(col) - {0}) for col in zip(*I.gens))
+
+
+@pytest.mark.parametrize("n, emax, words", [
+    (64, 1, 1), (65, 1, 2), (128, 1, 2), (129, 1, 3), (130, 1, 3),
+    (20, 60, 2), (36, 60, 3)])
+def test_lcm_lattice_across_words(n, emax, words):
+    # 64 slots fill one word; generator j uses every variable i = j mod 7,
+    # so a squarefree ideal has exactly n slots
+    rng = random.Random(n)
+    for _ in range(3):
+        gens = [tuple(rng.randint(1, emax)
+                      if i % 7 == j or rng.random() < 0.6 else 0
+                      for i in range(n)) for j in range(7)]
+        I = ideal(*gens)
+        assert -(-slot_count(I) // 64) == words
+        assert I.lcm_lattice() == oracles.lcm_closure(list(I.gens))
+
+
 def test_zero_ideal_has_no_invariants():
     Z = MonomialIdeal(Ring(["x"]), ())
     for op in (Z.lcm_exponent, Z.gcd_exponent, Z.lcm_lattice):
