@@ -132,7 +132,7 @@ def test_graded_betti_homology_once_per_complex(monkeypatch):
 
 
 def test_graded_betti_memo_is_per_call():
-    # at (1, 1, 1) the Koszul complex is the hollow triangle: 7 faces
+    # at (1, 1, 2) the Koszul complex is the hollow triangle: 7 faces
     I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),
                                 [(1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2)])
     want = oracles.betti_numbers(list(I.gens))
