@@ -41,7 +41,6 @@ from .families import (
 )
 from .homology import (
     BettiTable,
-    betti_diagram,
     graded_betti,
     hochster_betti,
     reduced_homology_dims,
@@ -80,7 +79,6 @@ __all__ = [
     "a_minus",
     "alexander_dual_complex",
     "alexander_dual_ideal",
-    "betti_diagram",
     "complex_of_squarefree_ideal",
     "depolarize",
     "dual_complex_via_depolarization",

@@ -14,7 +14,7 @@ from .complexes import SimplicialComplex, koszul_complex
 from .depolarization import depolarize
 from .duality import alexander_dual_ideal, dual_complex_via_depolarization
 from .families import FAMILY_BUILDERS
-from .homology import betti_diagram, graded_betti, reduced_homology_dims
+from .homology import graded_betti, reduced_homology_dims
 from .ideals import InputError, MonomialIdeal, ResourceLimit, format_monomial
 from .polarization import expanded_koszul, polarize_ideal
 
@@ -163,9 +163,9 @@ def cmd_betti(args):
         emit(args, {"total": tot},
              lambda: " ".join(str(t) for t in tot) + "\n")
     elif args.diagram and args.format == "json":
-        emit(args, {"diagram": betti_diagram(table)}, lambda: "")
+        emit(args, {"diagram": table.diagram()}, lambda: "")
     else:
-        emit(args, table.to_dict(), lambda: betti_diagram(table) + "\n")
+        emit(args, table.to_dict(), lambda: table.diagram() + "\n")
 
 
 def cmd_bench(args):

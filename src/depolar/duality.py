@@ -12,9 +12,8 @@ import numpy as np
 
 from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import alexander_dual_ideal
-from .ideals import (InputError, MonomialIdeal, ResourceLimit, check_exponent,
-                     divides, divisible_by_any)
+from .hypergraph import _subsets, alexander_dual_ideal, prefix_words
+from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
 from .polarization import PolarVariableMap
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -68,17 +67,26 @@ def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
     for m, b in zip(mu, blocks):
         if m > len(b):
             raise InputError("bijection arity mismatch: block shorter than mu")
-    for nu in Jdual.gens:
-        if not divides(nu, mu):
-            raise InputError(f"dual generator {nu} exceeds mu {mu}")
     G = np.array(Jdual.gens, dtype=np.int64)
+    top = np.array(mu, dtype=np.int64)
+    over = (G > top).any(axis=1)
+    if over.any():
+        raise InputError(f"dual generator {Jdual.gens[over.argmax()]} "
+                         f"exceeds mu {mu}")
     supports, group = np.unique(G > 0, axis=0, return_inverse=True)
     group = group.reshape(-1)
     dtype = np.min_scalar_type(max(mu))
     # slot[i][c] names the polarized variable of exponent c on variable i
     slot = [np.array([0] + list(b[:m])[::-1], dtype=np.int64)
             for b, m in zip(blocks, mu)]
-    top = np.array(mu, dtype=np.int64)
+    # variable i gets one slot per level 1..mu_i, and a row sets each block
+    # up to its level, so divisibility is containment of masks; the words
+    # of level v of variable i are column base[i] + v of prefix
+    base = np.cumsum(top + 1) - (top + 1)
+    first = np.repeat(np.cumsum(top) - top, top + 1)
+    levels = np.arange(len(first)) - np.repeat(base, top + 1)
+    prefix = prefix_words(first[:, None], (first + levels)[:, None],
+                          max(1, -(-int(top.sum()) // 64)))
     # output rows go out in chunks of about 2^14 entries, so the lists
     # tolist() makes stay small beside the tuples that are kept
     step = max(1, 2 ** 14 // ring.n)
@@ -91,9 +99,14 @@ def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
         inside = ~(supports & ~S).any(axis=1)
         inside[s] = False
         lower = G[inside[group]][:, cols]
+        if lower.size:
+            lower = np.bitwise_or.reduce(prefix[:, base[cols] + lower], axis=2)
         for lo in range(0, len(c), step):
             part = c[lo:lo + step]
-            part = part[~divisible_by_any(part, lower)]
+            if lower.size:
+                words = np.bitwise_or.reduce(prefix[:, base[cols] + part],
+                                             axis=2)
+                part = part[~_subsets(words, lower)]
             out = np.zeros((len(part), ring.n), dtype=np.uint8)
             arange = np.arange(len(part))
             for k, i in enumerate(cols):
@@ -151,9 +164,10 @@ def dual_complex_via_depolarization(cx, partition=None,
     report["gens_Jdual"] = len(Jdual.gens)
     mu = D.ideal.lcm_exponent()
     # the rows repolarize_dual builds before it drops duplicates and
-    # non-minimal ones
-    report["fiber_elements"] = sum(math.prod(r for r in a_minus(mu, g) if r)
-                                   for g in Jdual.gens)
+    # non-minimal ones: the box mu + 1 - nu on supp(nu) of each generator
+    G = np.array(Jdual.gens, dtype=np.int64).reshape(-1, len(mu))
+    boxes = np.where(G > 0, np.array(mu) + 1 - G, 1)
+    report["fiber_elements"] = sum(map(math.prod, boxes.tolist()))
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
     report["gens_final"] = len(final.gens)
     dual = clock("complements", facet_complement_complex, final)

@@ -253,7 +253,3 @@ def _compact_koszul(key, names):
 def total_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
                 p=None):
     return graded_betti(I, face_cap, lattice_cap, p).totals()
-
-
-def betti_diagram(table):
-    return table.diagram()

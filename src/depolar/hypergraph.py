@@ -8,9 +8,11 @@ single word costs the same operations as a plain uint64 mask.
 Slots come in blocks, one per variable with one slot per exponent level.
 A monomial is the mask that sets each block up to its level there, so
 divisibility is containment, the level is the block's popcount, and raising
-a coordinate to a level is an OR with a block prefix.  A vertex set is the
-case of one slot per block, and the dual of a squarefree ideal is the set
-of minimal transversals of its generator supports.
+a coordinate to a level is an OR with a block prefix.  prefix_words is the
+one encoder of monomials as masks, and minimal_columns the package's one
+minimal-elements kernel.  A vertex set is the case of one slot per block,
+and the dual of a squarefree ideal is the set of minimal transversals of
+its generator supports.
 """
 
 import numpy as np
@@ -39,7 +41,17 @@ _WORD = (1 << 64) - 1
 
 def _low(k):
     """Words with the low k bits set, k clamped to 0..64."""
-    return _LOW[np.minimum(np.maximum(k, 0), 64)]
+    return _LOW.take(k, mode="clip")
+
+
+def prefix_words(start, end, W):
+    """(W, ...) masks over the last axis of the broadcast start and end:
+    each entry sets the slots start <= s < end, a block prefix when start
+    is its block's first slot and nothing when end <= start.  Each word is
+    built and reduced in turn, so temporaries stay the size of end."""
+    return np.stack([np.bitwise_or.reduce(
+        _low(end - 64 * w) & ~_low(start - 64 * w), axis=-1)
+        for w in range(W)])
 
 
 def bits_of(mask):
@@ -85,12 +97,22 @@ def level_slots(L, used):
     n = L.shape[1]
     base = int(L.max()) + 1
     key = np.arange(n) * base + L
-    keys = np.unique(key[used])
+    keys = _distinct(key[used])[0]
     block, level = np.divmod(keys, base)
     slot = np.where(used, np.searchsorted(keys, key), -1)
     lo = np.searchsorted(block, np.arange(n))
     hi = np.searchsorted(block, np.arange(n), side="right")
     return slot, level, lo, hi
+
+
+def level_masks(G):
+    """(W, N) masks of the exponent rows G (N, n) in the level_slots layout
+    of their nonzero entries, with the layout's level, lo and hi.  Row g
+    sets block i up to the slot of g_i, so x^g divides x^h exactly when
+    the mask of g is a subset of the mask of h."""
+    slot, level, lo, hi = level_slots(G, G > 0)
+    W = max(1, -(-len(level) // 64))
+    return prefix_words(lo, slot + 1, W), level, lo, hi
 
 
 def slot_levels(T, level, lo, hi):
@@ -120,12 +142,8 @@ def lcm_closure(G, cap):
     deduplicated on their W words viewed as one key (a uint64 when W is
     1), and ResourceLimit is raised once a round leaves more than cap.
     """
-    slot, level, lo, hi = level_slots(G, G > 0)
-    W = max(1, -(-len(level) // 64))
-    masks = np.empty((W, len(G)), dtype=np.uint64)
-    for w in range(W):
-        masks[w] = np.bitwise_or.reduce(
-            _low(slot + 1 - 64 * w) & ~_low(lo - 64 * w), axis=1)
+    masks, level, lo, hi = level_masks(G)
+    W = len(masks)
     key_type = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
 
     def keys(arr):
@@ -176,20 +194,39 @@ def _contains(cand, keep):
     return out
 
 
+# words tested in one pass of _contains; its temporaries stay near 32 MB
+_BUDGET = 4_000_000
+
+
 def _subsets(cand, keep, reduce=np.logical_or.reduce):
     """reduce over the columns of keep inside each column of cand: by
-    default whether there is one, with np.add.reduce how many.  Chunks keep
-    the temporaries of all W words near 32 MB."""
-    if cand.shape[1] * keep.size <= 4_000_000:
+    default whether there is one, with np.add.reduce how many."""
+    if cand.shape[1] * keep.size <= _BUDGET:
         return reduce(_contains(cand, keep), axis=1)
-    step = max(1, 4_000_000 // keep.size)
+    step = max(1, _BUDGET // keep.size)
     return np.concatenate([reduce(_contains(cand[:, i:i + step], keep), axis=1)
                            for i in range(0, cand.shape[1], step)])
 
 
 def minimal_columns(arr):
-    """Inclusion-minimal columns of a (W, N) array of distinct bitsets."""
-    return arr.compress(_subsets(arr, arr, np.add.reduce) == 1, axis=1)
+    """Inclusion-minimal columns of a (W, N) array of distinct bitsets, in
+    their given order.
+
+    Within the _subsets budget every column is tested against all others
+    at once.  Past it the columns are taken by popcount, lightest first,
+    and each class is tested only against the lighter survivors: a proper
+    subset has fewer bits, and distinct sets of one size never nest.
+    """
+    if arr.shape[1] * arr.size <= _BUDGET:
+        return arr.compress(_subsets(arr, arr, np.add.reduce) == 1, axis=1)
+    weight = sum(_popcount(word).astype(np.int64) for word in arr)
+    order = np.argsort(weight, kind="stable")
+    keep = np.zeros(arr.shape[1], dtype=bool)
+    for cls in np.split(order, np.flatnonzero(np.diff(weight[order])) + 1):
+        if keep.any():
+            cls = cls[~_subsets(arr[:, cls], arr.compress(keep, axis=1))]
+        keep[cls] = True
+    return arr.compress(keep, axis=1)
 
 
 def minimal_masks(masks):
@@ -225,12 +262,8 @@ def berge_fold(hits, starts, cap=None):
     starts = np.asarray(starts, dtype=np.int64)
     first = starts[hits]
     W = max(1, -(-len(starts) // 64))
-    edges = np.empty((W, len(hits)), dtype=np.uint64)
-    prefix = np.empty((W,) + hits.shape, dtype=np.uint64)
-    for w in range(W):
-        top = _low(hits + 1 - 64 * w)
-        prefix[w] = top & ~_low(first - 64 * w)
-        edges[w] = np.bitwise_or.reduce(top ^ _low(hits - 64 * w), axis=1)
+    prefix = prefix_words(first[..., None], hits[..., None] + 1, W)
+    edges = prefix_words(hits, hits + 1, W)
     # Joins from different slots of a row never nest, since a mask that
     # misses the row stays below each of its slots.  Joins from one slot
     # nest only when two masks below it differ inside its block, which

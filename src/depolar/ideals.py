@@ -104,44 +104,15 @@ def check_exponent(m, n):
     return m
 
 
-def _chunk_rows(total, per_row_cost):
-    # Aim for ~32MB of boolean intermediates per broadcast comparison.
-    return max(1, min(total, 4_000_000 // max(1, per_row_cost)))
-
-
-def divisible_by_any(cand, keep):
-    """Boolean mask over cand rows: some row of keep divides the row."""
-    cand = np.asarray(cand, dtype=np.int64)
-    keep = np.asarray(keep, dtype=np.int64)
-    out = np.zeros(len(cand), dtype=bool)
-    if len(cand) == 0 or len(keep) == 0:
-        return out
-    step = _chunk_rows(len(cand), len(keep) * cand.shape[1])
-    for lo in range(0, len(cand), step):
-        block = cand[lo:lo + step]
-        out[lo:lo + step] = (keep[None, :, :] <= block[:, None, :]).all(2).any(1)
-    return out
-
-
-def minimal_rows(arr):
-    """Divisibility-minimal rows of a matrix of distinct exponent rows.
-
-    Buckets rows by total degree: a strict divisor has strictly smaller
-    degree, so each bucket is only tested against lighter survivors.
-    """
-    if len(arr) <= 1:
-        return arr
-    deg = arr.sum(axis=1)
-    order = np.argsort(deg, kind="stable")
-    arr, deg = arr[order], deg[order]
-    cuts = np.flatnonzero(np.diff(deg)) + 1
-    kept = []
-    for bucket in np.split(arr, cuts):
-        if kept:
-            bucket = bucket[~divisible_by_any(bucket, np.vstack(kept))]
-        if len(bucket):
-            kept.append(bucket)
-    return np.vstack(kept)
+def _minimal(G):
+    """Lex-sorted tuples of the divisibility-minimal rows of G, an (N, n)
+    array of distinct exponent rows, tested as containment of their level
+    masks (hypergraph.level_masks)."""
+    # hypergraph imports this module, so it is imported here
+    from .hypergraph import level_masks, minimal_columns, slot_levels
+    masks, level, lo, hi = level_masks(G)
+    keep = slot_levels(minimal_columns(masks), level, lo, hi)
+    return sorted(map(tuple, keep.tolist()))
 
 
 def minimalize(gens):
@@ -150,11 +121,10 @@ def minimalize(gens):
     if not gens:
         return []
     n = len(gens[0])
-    distinct = sorted({check_exponent(g, n) for g in gens})
+    distinct = {check_exponent(g, n) for g in gens}
     if len(distinct) == 1:
-        return distinct
-    keep = minimal_rows(np.array(distinct, dtype=np.int64))
-    return sorted(tuple(map(int, row)) for row in keep)
+        return list(distinct)
+    return _minimal(np.array(list(distinct), dtype=np.int64))
 
 
 class MonomialIdeal:
@@ -230,32 +200,15 @@ class MonomialIdeal:
         return tuple(a - b for a, b in zip(mu, nu))
 
     def intersect(self, other):
-        """Intersection, G = minimal elements of pairwise lcms.
-
-        Generators of one ideal already contained in the other are kept
-        as-is; every minimal element of the full pairwise-lcm set is either
-        such a generator or the lcm of two uncontained ones.
-        """
+        """Intersection, G = minimal elements of pairwise lcms."""
         if self.ring != other.ring:
             raise InputError("intersect needs a common ring")
         if self.is_zero or other.is_zero:
             return MonomialIdeal(self.ring, ())
         A = np.array(self.gens, dtype=np.int64)
         B = np.array(other.gens, dtype=np.int64)
-        a_in = divisible_by_any(A, B)
-        b_in = divisible_by_any(B, A)
-        parts = [A[a_in], B[b_in]]
-        rest_a, rest_b = A[~a_in], B[~b_in]
-        if len(rest_a) and len(rest_b):
-            step = _chunk_rows(len(rest_a), len(rest_b) * A.shape[1] * 8)
-            for lo in range(0, len(rest_a), step):
-                block = rest_a[lo:lo + step]
-                parts.append(np.maximum(block[:, None, :], rest_b[None, :, :])
-                             .reshape(-1, A.shape[1]))
-        cand = np.unique(np.vstack([p for p in parts if len(p)]), axis=0)
-        keep = minimal_rows(cand)
-        return MonomialIdeal(self.ring,
-                             sorted(tuple(map(int, r)) for r in keep))
+        lcms = np.maximum(A[:, None, :], B[None, :, :]).reshape(-1, self.n)
+        return MonomialIdeal(self.ring, _minimal(np.unique(lcms, axis=0)))
 
     def lcm_lattice(self, cap=DEFAULT_LATTICE_CAP):
         """All lcms of nonempty generator subsets, lex sorted: the OR

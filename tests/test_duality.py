@@ -251,6 +251,27 @@ def test_repolarize_cap_bounds_one_support():
                         pmap)
 
 
+def test_repolarize_dual_past_64_slots(rng):
+    # one slot per level 1..mu_i of each variable in a support: the full
+    # support holds 66-90 slots, so its masks take two words, and the
+    # generators on smaller supports are tested across the word boundary
+    for _ in range(20):
+        mu = tuple(rng.randint(22, 30) for _ in range(3))
+        R = Ring(["x", "y", "z"])
+        _, pmap = polarize_ideal(MonomialIdeal.from_gens(
+            R, [tuple(m if j == i else 0 for j, m in enumerate(mu))
+                for i in range(3)]))
+        supports = [(0, 1, 2)] * 2 + [rng.sample(range(3), rng.randint(1, 2))
+                                      for _ in range(3)]
+        Jdual = MonomialIdeal.from_gens(R, [
+            tuple(rng.randint(mu[i] - 2, mu[i]) if i in supp else 0
+                  for i in range(3)) for supp in supports])
+        got = repolarize_dual(Jdual, mu, pmap)
+        assert sorted((frozenset(i for i, e in enumerate(g) if e)
+                       for g in got.gens), key=oracles.set_key) \
+            == oracles.repolarized_dual(Jdual.gens, mu, pmap.blocks)
+
+
 def transversals(edges, nverts, cap=None):
     """Minimal transversals as the dual of the squarefree ideal of the edges."""
     ring = Ring([f"v{i}" for i in range(nverts)])
@@ -317,6 +338,27 @@ def test_berge_fold_has_one_caller():
     for path in sorted(pathlib.Path(hypergraph.__file__).parent.glob("*.py")):
         walk(ast.parse(path.read_text()), None, path.name)
     assert uses == [("hypergraph.py", "alexander_dual_ideal")]
+
+
+def test_divisibility_has_one_kernel():
+    # divisibility is containment of slot words, tested in hypergraph only;
+    # the int-row kernel that ideals once kept must not come back
+    defined, gone = [], []
+    for path in sorted(pathlib.Path(hypergraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "_contains", "_subsets", "minimal_columns"):
+                defined.append((path.name, node.name))
+            names = [getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [alias.name.rpartition(".")[2] for alias in node.names]
+            if {"divisible_by_any", "minimal_rows"} & set(names):
+                gone.append(path.name)
+    assert sorted(defined) == [("hypergraph.py", "_contains"),
+                               ("hypergraph.py", "_subsets"),
+                               ("hypergraph.py", "minimal_columns")]
+    assert gone == []
 
 
 DUAL_FACETS_OF_EXAMPLE = [

@@ -10,8 +10,7 @@ from depolar import homology
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.complexes import SimplicialComplex
 from depolar.homology import (reduced_homology_dims, hochster_betti,
-                              BettiTable, graded_betti, total_betti,
-                              betti_diagram)
+                              BettiTable, graded_betti, total_betti)
 
 
 def cx_of(nverts, facets):
@@ -215,7 +214,7 @@ def test_betti_diagram_golden():
     R = Ring(["a", "b", "c"])
     ci = MonomialIdeal.from_gens(R, [(1, 0, 0), (0, 2, 0), (0, 0, 3)])
     T = graded_betti(ci)
-    assert betti_diagram(T) == (
+    assert T.diagram() == (
         "        0  1  2\n"
         "total:  3  3  1\n"
         "    1:  1  .  .\n"

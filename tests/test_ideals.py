@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from depolar import InputError, MonomialIdeal, Ring, minimalize
-from depolar.ideals import check_exponent, format_monomial, parse_monomial
+from depolar import InputError, MonomialIdeal, Ring, hypergraph, minimalize
+from depolar.ideals import (MAX_EXPONENT, check_exponent, format_monomial,
+                            parse_monomial)
 
 
 def ideal(*gens, names=None):
@@ -42,6 +43,55 @@ def test_minimalize_matches_oracle(rng):
         if not gens:
             continue
         assert minimalize(gens) == oracles.minimal_elements(gens)
+
+
+def mask_words(gens):
+    """Words of the level masks that minimalize tests gens on."""
+    return len(hypergraph.level_masks(np.array(gens, dtype=np.int64))[0])
+
+
+def pairwise_lcm_oracle(A, B):
+    return oracles.minimal_elements([oracles.lcm(a, b) for a in A for b in B])
+
+
+@pytest.mark.parametrize("levels, words", [(70, 2), (140, 3)])
+def test_minimalize_across_words(rng, levels, words):
+    # the first variable takes more than 64 (or 128) distinct levels, up to
+    # MAX_EXPONENT, so its block of slots spans two (or three) words
+    for _ in range(3):
+        tops = rng.sample(range(1, MAX_EXPONENT), levels - 2) + [MAX_EXPONENT]
+        gens = [(t, rng.randint(0, 3), rng.randint(0, 3)) for t in tops]
+        gens += [(MAX_EXPONENT, 0, rng.randint(1, 3)), (0, 3, 3)]
+        assert mask_words(gens) == words
+        assert minimalize(gens) == oracles.minimal_elements(gens)
+        A, B = ideal(*gens[:levels // 2]), ideal(*gens[levels // 2:])
+        assert list(A.intersect(B).gens) == pairwise_lcm_oracle(A.gens, B.gens)
+
+
+def test_minimalize_past_the_pairs_budget(rng, monkeypatch):
+    # 3,844 rows on 3 words are past the all-pairs budget, so the rows are
+    # taken by popcount class; degree 60 divides every row of degree 61
+    def degree(d):
+        return [(a, b, d - a - b) for a in range(d + 1)
+                for b in range(d + 1 - a)]
+    gens = degree(60) + degree(61)
+    assert len(gens) ** 2 * mask_words(gens) > hypergraph._BUDGET
+    assert minimalize(gens) == sorted(degree(60))
+    assert len(degree(60)) == 1891
+    # with no budget every call walks the popcount classes
+    monkeypatch.setattr(hypergraph, "_BUDGET", 0)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        draw = lambda: [tuple(rng.randint(0, 3) for _ in range(n))
+                        for _ in range(rng.randint(1, 8))]
+        ga = [g for g in draw() if any(g)]
+        gb = [g for g in draw() if any(g)]
+        if not ga or not gb:
+            continue
+        assert minimalize(ga) == oracles.minimal_elements(ga)
+        A, B = ideal(*ga), ideal(*gb)
+        assert list(A.intersect(B).gens) == \
+            oracles.intersect(list(A.gens), list(B.gens))
 
 
 def test_constructor_contracts():
