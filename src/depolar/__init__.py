@@ -27,7 +27,6 @@ from .depolarization import (
     validate_depolarization,
 )
 from .duality import (
-    a_minus,
     alexander_dual_ideal,
     dual_complex_via_depolarization,
     repolarize_dual,
@@ -56,7 +55,6 @@ from .ideals import (
     parse_monomial,
 )
 from .polarization import (
-    PolarVariableMap,
     expanded_koszul,
     polarize_ideal,
     verify_polar_koszul_iso,
@@ -71,12 +69,10 @@ __all__ = [
     "FAMILY_BUILDERS",
     "InputError",
     "MonomialIdeal",
-    "PolarVariableMap",
     "ResourceLimit",
     "Ring",
     "SimplicialComplex",
     "SupportPoset",
-    "a_minus",
     "alexander_dual_complex",
     "alexander_dual_ideal",
     "complex_of_squarefree_ideal",

@@ -12,7 +12,6 @@ import json
 import multiprocessing
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .complexes import facet_complement_complex
@@ -142,20 +141,15 @@ def run_cell(family, params, timeout_s=300, mem_mb=None, size_res=False):
     return record
 
 
-def run_grid(cells, timeout_s=300, mem_mb=None, size_res=False, threads=1):
-    """Run cells (family, params) pairs; rows come back in grid order."""
-    cells = list(cells)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda c: run_cell(c[0], c[1], timeout_s, mem_mb, size_res),
-                cells))
+def run_grid(cells, timeout_s=300, mem_mb=None, size_res=False):
+    """Run cells (family, params) pairs one after another, so no two cells
+    share the cores they are timed on; rows come back in grid order."""
     return [run_cell(f, p, timeout_s, mem_mb, size_res) for f, p in cells]
 
 
-def bench_dual(cells, timeout_s=300, mem_mb=None, size_res=False, threads=1):
+def bench_dual(cells, timeout_s=300, mem_mb=None, size_res=False):
     """Run a benchmark grid and return (records, csv_text)."""
-    records = run_grid(cells, timeout_s, mem_mb, size_res, threads)
+    records = run_grid(cells, timeout_s, mem_mb, size_res)
     return records, records_to_csv(records)
 
 

@@ -97,10 +97,12 @@ def cmd_gen(args):
 
 def cmd_polarize(args):
     I = load_ideal(args.infile)
-    P, pmap = polarize_ideal(I)
+    P, D = polarize_ideal(I)
     if args.map:
         with open(args.map, "w") as fh:
-            json.dump(pmap.to_dict(), fh, indent=2)
+            json.dump({"source": list(I.ring.variables),
+                       "target": list(P.ring.variables),
+                       "blocks": [list(c) for c in D.chains]}, fh, indent=2)
     emit(args, P.to_dict(), lambda: ideal_text(P))
 
 
@@ -180,7 +182,7 @@ def cmd_bench(args):
         cells = [(args.family, kwargs)]
     records, text = bench_mod.bench_dual(
         cells, timeout_s=args.timeout, mem_mb=args.mem_mb,
-        size_res=args.size_res, threads=args.threads)
+        size_res=args.size_res)
     if args.format == "json":
         payload = []
         for r in records:
@@ -211,8 +213,6 @@ def add_global_flags(parser, suppress=False):
     parser.add_argument("--format", choices=["json", "text", "csv"],
                         default=d("json"))
     parser.add_argument("--seed", type=int, default=d(0))
-    parser.add_argument("--threads", type=int, default=d(1),
-                        help="benchmark cells run at once")
     parser.add_argument("--timeout", type=float, default=d(300.0),
                         help="per-cell benchmark timeout in seconds")
     parser.add_argument("--face-cap", type=int, default=d(None),

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .ideals import InputError, MonomialIdeal, Ring
-from .polarization import polarize_ideal
+from .polarization import Depolarization, _polarize_rows, polarize_ideal
 
 
 class SupportPoset:
@@ -69,27 +69,6 @@ class ChainPartition:
         except (KeyError, TypeError):
             raise InputError("partition JSON needs 'chains'") from None
         return cls([[ring.index(v) for v in c] for c in chains])
-
-
-class Depolarization:
-    """A depolarized ideal plus the chain bijection back to source variables.
-
-    chains[c][j-1] is the source variable playing the j-th copy of the c-th
-    depolarized variable.
-    """
-
-    __slots__ = ("ideal", "chains", "source_ring")
-
-    def __init__(self, ideal, chains, source_ring):
-        self.ideal = ideal
-        self.chains = tuple(tuple(c) for c in chains)
-        self.source_ring = source_ring
-
-    def to_dict(self):
-        return {"source": list(self.source_ring.variables),
-                "variables": list(self.ideal.ring.variables),
-                "chains": [[self.source_ring.variables[i] for i in c]
-                           for c in self.chains]}
 
 
 def _incidence(I):
@@ -231,21 +210,17 @@ def depolarize(I, partition=None):
     if not up.all():
         c = chains[chain_of[1:][inner][np.argmin(up)]]
         raise InputError(f"not an ascending chain: {list(c)}")
+    # along an ascending chain gens(c_(j+1)) lies inside gens(c_j), so
     # generator m meets chain c in its first k_c variables
-    A = poset.incidence[:, flat]
-    k = np.add.reduceat(A, starts, axis=1, dtype=np.int64)
-    bad = A != (pos < k[:, chain_of])
-    if bad.any():
-        r, col = np.unravel_index(np.argmax(bad), bad.shape)
-        raise InputError(f"generator {I.gens[r]} meets chain "
-                         f"{list(chains[chain_of[col]])} in a non-prefix")
+    k = np.add.reduceat(poset.incidence[:, flat], starts, axis=1,
+                        dtype=np.int64)
     ring_out = Ring([I.ring.variables[c[0]] for c in chains])
     ideal = MonomialIdeal(ring_out, sorted(map(tuple, k.tolist())))
     return Depolarization(ideal, chains, I.ring)
 
 
 def validate_depolarization(I, D):
-    """Re-polarize D and compare with G(I) through the chain bijection."""
+    """Re-polarize D along its chains and compare with G(I)."""
     if not I.is_squarefree():
         raise InputError("validation target must be squarefree")
     if I.ring != D.source_ring or D.ideal.is_zero != I.is_zero:
@@ -257,11 +232,12 @@ def validate_depolarization(I, D):
     mu = D.ideal.lcm_exponent()
     if any(m > len(c) for m, c in zip(mu, D.chains)):
         return False
-    renamed = set()
-    for g in D.ideal.gens:
-        vec = [0] * I.n
-        for c, e in enumerate(g):
-            for j in range(e):
-                vec[D.chains[c][j]] = 1
-        renamed.add(tuple(vec))
-    return renamed == set(I.gens)
+    flat = [i for c in D.chains for i in c]
+    A = np.array(I.gens, dtype=np.uint8)
+    if len(set(flat)) != len(flat) or np.delete(A, flat, axis=1).any():
+        return False
+    # both sides in chain order; the polarized rows come out lex sorted
+    A = A[:, flat]
+    A = A[np.lexsort(A.T[::-1])]
+    rows = _polarize_rows(np.array(D.ideal.gens, dtype=np.int64), D.chains)
+    return np.array_equal(rows, A)

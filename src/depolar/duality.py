@@ -14,33 +14,11 @@ from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
 from .hypergraph import _subsets, alexander_dual_ideal, prefix_words
 from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
-from .polarization import PolarVariableMap
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
 
 
-def a_minus(a, nu):
-    """(a minus nu)_i = a_i + 1 - nu_i on supp(nu), zero elsewhere."""
-    n = len(a)
-    nu = check_exponent(nu, n)
-    a = check_exponent(a, n)
-    out = []
-    for top, e in zip(a, nu):
-        if e > top:
-            raise InputError(f"{nu} exceeds the dual bound {a}")
-        out.append(top + 1 - e if e > 0 else 0)
-    return tuple(out)
-
-
-def _blocks_of(mapping):
-    if isinstance(mapping, Depolarization):
-        return mapping.chains, mapping.source_ring
-    if isinstance(mapping, PolarVariableMap):
-        return mapping.blocks, mapping.target
-    raise InputError("mapping must be a Depolarization or PolarVariableMap")
-
-
-def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
+def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     """Dual of the polarization, assembled from the dual of a depolarization.
 
     Every nu in G(Jdual) expands into its fiber of squarefree monomials,
@@ -55,18 +33,20 @@ def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
       divides it, since the row restricted to supp(nu') then lies in the
       fiber of nu'.
 
-    The survivors are named through the mapping's blocks.  cartesian_cap
-    bounds the rows built at once: the summed fiber size of one support.
+    The survivors are named through the chains of D, a Depolarization from
+    depolarize or polarize_ideal.  cartesian_cap bounds the rows built at
+    once: the summed fiber size of one support.
     """
     if Jdual.is_zero:
         raise InputError("cannot expand the zero ideal")
-    blocks, ring = _blocks_of(mapping)
-    if len(blocks) != Jdual.n:
-        raise InputError("bijection arity mismatch: one block per variable")
+    if not isinstance(D, Depolarization):
+        raise InputError("the variable map must be a Depolarization")
+    if len(D.chains) != Jdual.n:
+        raise InputError("bijection arity mismatch: one chain per variable")
     mu = check_exponent(mu, Jdual.n)
-    for m, b in zip(mu, blocks):
-        if m > len(b):
-            raise InputError("bijection arity mismatch: block shorter than mu")
+    for m, c in zip(mu, D.chains):
+        if m > len(c):
+            raise InputError("bijection arity mismatch: chain shorter than mu")
     G = np.array(Jdual.gens, dtype=np.int64)
     top = np.array(mu, dtype=np.int64)
     over = (G > top).any(axis=1)
@@ -77,8 +57,8 @@ def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
     group = group.reshape(-1)
     dtype = np.min_scalar_type(max(mu))
     # slot[i][c] names the polarized variable of exponent c on variable i
-    slot = [np.array([0] + list(b[:m])[::-1], dtype=np.int64)
-            for b, m in zip(blocks, mu)]
+    slot = [np.array([0] + list(c[:m])[::-1], dtype=np.int64)
+            for c, m in zip(D.chains, mu)]
     # variable i gets one slot per level 1..mu_i, and a row sets each block
     # up to its level, so divisibility is containment of masks; the words
     # of level v of variable i are column base[i] + v of prefix
@@ -89,7 +69,7 @@ def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
                           max(1, -(-int(top.sum()) // 64)))
     # output rows go out in chunks of about 2^14 entries, so the lists
     # tolist() makes stay small beside the tuples that are kept
-    step = max(1, 2 ** 14 // ring.n)
+    step = max(1, 2 ** 14 // D.source_ring.n)
     rows = []
     for s, S in enumerate(supports):
         cols = np.flatnonzero(S)
@@ -107,12 +87,12 @@ def repolarize_dual(Jdual, mu, mapping, cartesian_cap=DEFAULT_EXPANSION_CAP):
                 words = np.bitwise_or.reduce(prefix[:, base[cols] + part],
                                              axis=2)
                 part = part[~_subsets(words, lower)]
-            out = np.zeros((len(part), ring.n), dtype=np.uint8)
+            out = np.zeros((len(part), D.source_ring.n), dtype=np.uint8)
             arange = np.arange(len(part))
             for k, i in enumerate(cols):
                 out[arange, slot[i][part[:, k]]] = 1
             rows.extend(map(tuple, out.tolist()))
-    return MonomialIdeal(ring, sorted(rows))
+    return MonomialIdeal(D.source_ring, sorted(rows))
 
 
 def _fiber_union(own, top, cap, dtype):

@@ -115,16 +115,20 @@ def _minimal(G):
     return sorted(map(tuple, keep.tolist()))
 
 
+def _minimal_of(distinct):
+    """minimalize of a set of checked exponent tuples."""
+    if len(distinct) <= 1:
+        return list(distinct)
+    return _minimal(np.array(list(distinct), dtype=np.int64))
+
+
 def minimalize(gens):
     """Divisibility-minimal subset of a set of exponent vectors, lex sorted."""
     gens = list(gens)
     if not gens:
         return []
     n = len(gens[0])
-    distinct = {check_exponent(g, n) for g in gens}
-    if len(distinct) == 1:
-        return list(distinct)
-    return _minimal(np.array(list(distinct), dtype=np.int64))
+    return _minimal_of({check_exponent(g, n) for g in gens})
 
 
 class MonomialIdeal:
@@ -153,7 +157,7 @@ class MonomialIdeal:
     @classmethod
     def from_gens(cls, ring, gens):
         """Build an ideal from arbitrary generators, minimalizing them."""
-        return cls(ring, minimalize(check_exponent(g, ring.n) for g in gens))
+        return cls(ring, _minimal_of({check_exponent(g, ring.n) for g in gens}))
 
     @property
     def n(self):

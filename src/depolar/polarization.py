@@ -1,41 +1,41 @@
-"""Polarization of exponent vectors and ideals, and the expanded Koszul complex."""
+"""Polarization of ideals, the chain map it shares with depolarization, and
+the expanded Koszul complex.
+
+Polarization and depolarization are one variable bijection read in two
+directions.  A Depolarization maps variable c of a small ring to a chain of
+variables of a squarefree ring, and exponent k on c to the first k variables
+of the chain.  polarize_ideal builds the map from the exponents, one chain
+per variable; depolarization.depolarize finds it from the support poset.
+"""
+
+import itertools
 
 import numpy as np
 
-from .complexes import SimplicialComplex, koszul_complex
-from .ideals import InputError, MonomialIdeal, Ring, check_exponent, divides
+from .complexes import SimplicialComplex, facet_complement_complex, koszul_complex
+from .hypergraph import bits_of
+from .ideals import InputError, MonomialIdeal, Ring
 
 
-class PolarVariableMap:
-    """Records how source variables split into ordered blocks of copies."""
+class Depolarization:
+    """A depolarized ideal plus the chain bijection back to source variables.
 
-    __slots__ = ("source", "target", "blocks")
+    chains[c][j-1] is the source variable playing the j-th copy of the c-th
+    depolarized variable.
+    """
 
-    def __init__(self, source, target, blocks):
-        self.source = source
-        self.target = target
-        self.blocks = tuple(tuple(b) for b in blocks)
-        if len(self.blocks) != source.n:
-            raise InputError("one block per source variable required")
-        seen = [i for block in self.blocks for i in block]
-        if sorted(seen) != list(range(target.n)):
-            raise InputError("blocks must partition the target variables")
+    __slots__ = ("ideal", "chains", "source_ring")
 
-    def block_sizes(self):
-        return tuple(len(b) for b in self.blocks)
+    def __init__(self, ideal, chains, source_ring):
+        self.ideal = ideal
+        self.chains = tuple(tuple(c) for c in chains)
+        self.source_ring = source_ring
 
     def to_dict(self):
-        return {"source": list(self.source.variables),
-                "target": list(self.target.variables),
-                "blocks": [list(b) for b in self.blocks]}
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            return cls(Ring(data["source"]), Ring(data["target"]),
-                       data["blocks"])
-        except (KeyError, TypeError):
-            raise InputError("map JSON needs 'source', 'target', 'blocks'") from None
+        return {"source": list(self.source_ring.variables),
+                "variables": list(self.ideal.ring.variables),
+                "chains": [[self.source_ring.variables[i] for i in c]
+                           for c in self.chains]}
 
 
 def block_names(ring, sizes):
@@ -48,86 +48,60 @@ def block_names(ring, sizes):
     return names
 
 
-def polarize_index(mu, a):
-    """0/1 vector in Sum(a_i) slots: block i gets mu_i ones then zeros."""
-    n = len(a)
-    mu = check_exponent(mu, n)
-    a = check_exponent(a, n)
-    if not divides(mu, a):
-        raise InputError(f"exponent {mu} exceeds polarization bound {a}")
-    out = []
-    for m, b in zip(mu, a):
-        out.extend([1] * m + [0] * (b - m))
-    return tuple(out)
+def _polarize_rows(G, chains):
+    """The exponent rows G (N, len(chains)) polarized along the chains, as
+    0/1 rows in chain order: column t is position j of chain c, set when
+    j < G[:, c].  Lex-sorted rows stay sorted."""
+    lens = np.array([len(c) for c in chains], dtype=np.int64)
+    chain = np.repeat(np.arange(len(lens)), lens)
+    pos = np.arange(len(chain)) - np.repeat(np.cumsum(lens) - lens, lens)
+    return (pos < G[:, chain]).astype(np.uint8)
 
 
 def polarize_ideal(I):
-    """Squarefree polarization of I with bound mu_I, plus the variable map.
+    """Squarefree polarization P of I with bound mu_I, and the chain map
+    back: a Depolarization with ideal I and source ring P.ring.
 
-    Slot s of block i stands for level j(s) = s - offset_i of variable i,
-    and generator g fills it when j(s) < g_i.  Polarization keeps the lex
-    order of the generators, so the rows come out sorted.
+    Chain i is the block of the mu_i copies x_i_1.. of x_i, in ring order,
+    so the rows of _polarize_rows are already in P's variable order.
     """
     if I.is_zero:
         raise InputError("cannot polarize the zero ideal")
     G = np.array(I.gens, dtype=np.int64)
-    a = G.max(axis=0)
-    target = Ring(block_names(I.ring, a.tolist()))
-    starts = np.cumsum(a) - a
-    blocks = [tuple(range(s, s + k)) for s, k in zip(starts.tolist(), a.tolist())]
-    block = np.repeat(np.arange(I.n), a)
-    level = np.arange(target.n) - starts[block]
-    rows = (level < G[:, block]).astype(np.uint8)
-    P = MonomialIdeal(target, map(tuple, rows.tolist()))
-    return P, PolarVariableMap(I.ring, target, blocks)
+    a = G.max(axis=0).tolist()
+    target = Ring(block_names(I.ring, a))
+    chains = [tuple(range(end - k, end))
+              for end, k in zip(itertools.accumulate(a), a)]
+    P = MonomialIdeal(target, map(tuple, _polarize_rows(G, chains).tolist()))
+    return P, Depolarization(I, chains, target)
 
 
 def expanded_koszul(I):
-    """Expanded Koszul complex of I at mu_I.
+    """Expanded Koszul complex of I at mu_I: the facet complement complex
+    of the polarization of I : x^gcd.
 
     Vertex block i holds ms(I)_i slots named name_1..; each generator m
-    contributes the facet taking the last (mu_I - m)_i slots of every block.
+    gives the facet of the last (mu_I - m)_i slots of every block.  A
+    principal ideal gives the irrelevant complex on no vertices.
     """
     if I.is_zero:
         raise InputError("the zero ideal has no expanded Koszul complex")
-    mu = I.lcm_exponent()
-    ms = I.monomial_span()
-    vertices = block_names(I.ring, ms)
-    offsets, start = [], 0
-    for size in ms:
-        offsets.append(start)
-        start += size
-    facets = []
-    for g in I.gens:
-        mask = 0
-        for i, (m, top, size) in enumerate(zip(g, mu, ms)):
-            alpha = top - m
-            for j in range(size - alpha, size):
-                mask |= 1 << (offsets[i] + j)
-        facets.append(mask)
-    return SimplicialComplex(vertices, sorted(facets))
+    if len(I.gens) == 1:
+        return SimplicialComplex((), (0,))
+    G = np.array(I.gens, dtype=np.int64)
+    colon = MonomialIdeal(I.ring, map(tuple, (G - G.min(axis=0)).tolist()))
+    return facet_complement_complex(polarize_ideal(colon)[0])
 
 
 def verify_polar_koszul_iso(I):
     """Check that shifting block slots by nu maps EK onto the polarized Koszul.
 
-    The map sends slot j of block i to polarized copy j + nu_i; facet sets
-    must agree (isolated ambient vertices are immaterial).
+    Slot j of block i goes to copy j + nu_i of chain i of the polarization;
+    facet sets must agree (isolated ambient vertices are immaterial).
     """
-    P, pmap = polarize_ideal(I)
+    P, D = polarize_ideal(I)
     K = koszul_complex(P, (1,) * P.n)
-    nu = I.gcd_exponent()
-    ms = I.monomial_span()
-    offsets, start = [], 0
-    for size in ms:
-        offsets.append(start)
-        start += size
-    mapped = set()
-    for facet in expanded_koszul(I).facets:
-        out = 0
-        for i in range(I.n):
-            for j in range(ms[i]):
-                if facet >> (offsets[i] + j) & 1:
-                    out |= 1 << pmap.blocks[i][j + nu[i]]
-        mapped.add(out)
+    shift = [v for c, e in zip(D.chains, I.gcd_exponent()) for v in c[e:]]
+    mapped = {sum(1 << shift[b] for b in bits_of(f))
+              for f in expanded_koszul(I).facets}
     return mapped == set(K.facets)

@@ -79,6 +79,27 @@ def koszul_faces(gens, mu):
     return faces
 
 
+def expanded_koszul_facets(gens):
+    """(slots, facets) of the expanded Koszul complex at the lcm mu.
+
+    Variable i gets ms_i = mu_i - nu_i slots (nu the gcd), numbered block
+    by block, and generator m gives the facet of the last (mu - m)_i slots
+    of every block.
+    """
+    n = len(gens[0])
+    mu = [max(g[i] for g in gens) for i in range(n)]
+    ms = [mu[i] - min(g[i] for g in gens) for i in range(n)]
+    offsets = list(itertools.accumulate(ms, initial=0))
+    facets = []
+    for g in gens:
+        facet = set()
+        for i in range(n):
+            for j in range(ms[i] - (mu[i] - g[i]), ms[i]):
+                facet.add(offsets[i] + j)
+        facets.append(facet)
+    return offsets[-1], maximal_sets(facets)
+
+
 def transversals(edges, nverts):
     """Minimal vertex sets meeting every edge."""
     edges = [frozenset(e) for e in edges]

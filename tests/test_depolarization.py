@@ -209,6 +209,32 @@ def test_every_partition_roundtrips(rng):
             assert len(D.ideal.gens) == len(I.gens)
 
 
+def test_accepted_user_partitions_depolarize(rng):
+    # depolarize trusts that an ascending chain meets every generator in a
+    # prefix; a partition it accepts must therefore re-polarize to I
+    accepted = longest = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        gens = {tuple(rng.randint(0, 1) for _ in range(n))
+                for _ in range(rng.randint(1, 4))} - {(0,) * n}
+        if not gens:
+            continue
+        I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), gens)
+        order = list(ordered_support_poset(I).elements)
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, len(order)),
+                                 rng.randint(0, len(order) - 1)))
+        chains = [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)])]
+        try:
+            D = depolarize(I, ChainPartition(chains))
+        except InputError:
+            continue
+        assert validate_depolarization(I, D)
+        accepted += 1
+        longest = max(longest, max(map(len, chains)))
+    assert accepted > 100 and longest >= 3
+
+
 def test_partition_dict_roundtrip():
     ring = Ring(["x", "y", "z"])
     cp = ChainPartition([(2, 0), (1,)])

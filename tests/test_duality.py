@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
-from depolar.duality import (a_minus, alexander_dual_ideal, repolarize_dual,
+from depolar.duality import (alexander_dual_ideal, repolarize_dual,
                              dual_complex_via_depolarization)
 from depolar import hypergraph
 from depolar.polarization import polarize_ideal
@@ -31,16 +31,6 @@ def random_ideal(rng, n, ngens, emax):
             if any(g):
                 gens.add(g)
     return MonomialIdeal.from_gens(R, sorted(gens))
-
-
-def test_a_minus():
-    assert a_minus((4, 3, 3), (1, 0, 2)) == (4, 0, 2)
-    assert a_minus((2, 2), (1, 2)) == (2, 1)
-    assert a_minus((5, 0), (0, 0)) == (0, 0)
-    with pytest.raises(InputError):
-        a_minus((2, 2), (3, 0))
-    with pytest.raises(InputError):
-        a_minus((2, 2), (1,))
 
 
 def test_dual_golden():
@@ -192,9 +182,9 @@ def test_expansion_set_golden():
 
 def test_repolarize_dual_golden():
     J = xyz_ideal()
-    P, pmap = polarize_ideal(J)
+    P, D = polarize_ideal(J)
     direct = alexander_dual_ideal(P)
-    assembled = repolarize_dual(alexander_dual_ideal(J), (4, 3, 3), pmap)
+    assembled = repolarize_dual(alexander_dual_ideal(J), (4, 3, 3), D)
     assert assembled == direct
     names = {tuple(sorted(P.ring.variables[i] for i, e in enumerate(m) if e))
              for m in direct.gens}
@@ -215,19 +205,19 @@ def test_repolarize_dual_golden():
 def test_repolarize_dual_errors():
     J = xyz_ideal()
     Jd = alexander_dual_ideal(J)
-    P, pmap = polarize_ideal(J)
+    P, D = polarize_ideal(J)
     R = Ring(["x", "y", "z"])
     with pytest.raises(InputError):
-        repolarize_dual(MonomialIdeal.from_gens(R, []), (4, 3, 3), pmap)
+        repolarize_dual(MonomialIdeal.from_gens(R, []), (4, 3, 3), D)
     with pytest.raises(InputError):
         repolarize_dual(MonomialIdeal.from_gens(Ring(["x", "y"]), [(1, 1)]),
-                        (4, 3), pmap)
+                        (4, 3), D)
     with pytest.raises(InputError):
-        repolarize_dual(Jd, (5, 3, 3), pmap)
+        repolarize_dual(Jd, (5, 3, 3), D)
     with pytest.raises(InputError):
-        repolarize_dual(MonomialIdeal.from_gens(R, [(5, 0, 0)]), (4, 3, 3), pmap)
+        repolarize_dual(MonomialIdeal.from_gens(R, [(5, 0, 0)]), (4, 3, 3), D)
     with pytest.raises(ResourceLimit):
-        repolarize_dual(Jd, (4, 3, 3), pmap, cartesian_cap=2)
+        repolarize_dual(Jd, (4, 3, 3), D, cartesian_cap=2)
     with pytest.raises(InputError):
         repolarize_dual(Jd, (4, 3, 3), "frobnicate")
 
@@ -236,19 +226,19 @@ def test_repolarize_cap_bounds_one_support():
     # two generators on support {x, y}: each fiber has 12 elements, the
     # two together 24
     R = Ring(["x", "y"])
-    _, pmap = polarize_ideal(MonomialIdeal.from_gens(R, [(4, 0), (0, 4)]))
+    _, D = polarize_ideal(MonomialIdeal.from_gens(R, [(4, 0), (0, 4)]))
     Jd = MonomialIdeal.from_gens(R, [(1, 2), (2, 1)])
     with pytest.raises(ResourceLimit):
-        repolarize_dual(Jd, (4, 4), pmap, cartesian_cap=20)
+        repolarize_dual(Jd, (4, 4), D, cartesian_cap=20)
     # the boxes 1..4 x 2..4 and 2..4 x 1..4 share 9 rows
-    assert len(repolarize_dual(Jd, (4, 4), pmap, cartesian_cap=24).gens) == 15
+    assert len(repolarize_dual(Jd, (4, 4), D, cartesian_cap=24).gens) == 15
     # a fiber of 256^8 = 2^64 elements, which int64 arithmetic wraps to 0
     R = Ring([f"x{i}" for i in range(8)])
-    _, pmap = polarize_ideal(MonomialIdeal.from_gens(
+    _, D = polarize_ideal(MonomialIdeal.from_gens(
         R, [tuple(256 * (j == i) for j in range(8)) for i in range(8)]))
     with pytest.raises(ResourceLimit):
         repolarize_dual(MonomialIdeal.from_gens(R, [(1,) * 8]), (256,) * 8,
-                        pmap)
+                        D)
 
 
 def test_repolarize_dual_past_64_slots(rng):
@@ -258,7 +248,7 @@ def test_repolarize_dual_past_64_slots(rng):
     for _ in range(20):
         mu = tuple(rng.randint(22, 30) for _ in range(3))
         R = Ring(["x", "y", "z"])
-        _, pmap = polarize_ideal(MonomialIdeal.from_gens(
+        _, D = polarize_ideal(MonomialIdeal.from_gens(
             R, [tuple(m if j == i else 0 for j, m in enumerate(mu))
                 for i in range(3)]))
         supports = [(0, 1, 2)] * 2 + [rng.sample(range(3), rng.randint(1, 2))
@@ -266,10 +256,10 @@ def test_repolarize_dual_past_64_slots(rng):
         Jdual = MonomialIdeal.from_gens(R, [
             tuple(rng.randint(mu[i] - 2, mu[i]) if i in supp else 0
                   for i in range(3)) for supp in supports])
-        got = repolarize_dual(Jdual, mu, pmap)
+        got = repolarize_dual(Jdual, mu, D)
         assert sorted((frozenset(i for i, e in enumerate(g) if e)
                        for g in got.gens), key=oracles.set_key) \
-            == oracles.repolarized_dual(Jdual.gens, mu, pmap.blocks)
+            == oracles.repolarized_dual(Jdual.gens, mu, D.chains)
 
 
 def transversals(edges, nverts, cap=None):
@@ -340,24 +330,44 @@ def test_berge_fold_has_one_caller():
     assert uses == [("hypergraph.py", "alexander_dual_ideal")]
 
 
-def test_divisibility_has_one_kernel():
-    # divisibility is containment of slot words, tested in hypergraph only;
-    # the int-row kernel that ideals once kept must not come back
+def definitions_and_uses(defined_names, gone_names):
+    """Walk src/depolar/*.py: (module, name) for each function or class
+    definition of defined_names, and the modules using a gone_names name."""
     defined, gone = [], []
     for path in sorted(pathlib.Path(hypergraph.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and node.name in (
-                    "_contains", "_subsets", "minimal_columns"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name in defined_names:
                 defined.append((path.name, node.name))
             names = [getattr(node, "name", None), getattr(node, "id", None),
                      getattr(node, "attr", None)]
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names += [alias.name.rpartition(".")[2] for alias in node.names]
-            if {"divisible_by_any", "minimal_rows"} & set(names):
+            if set(gone_names) & set(names):
                 gone.append(path.name)
-    assert sorted(defined) == [("hypergraph.py", "_contains"),
-                               ("hypergraph.py", "_subsets"),
-                               ("hypergraph.py", "minimal_columns")]
+    return sorted(defined), gone
+
+
+def test_divisibility_has_one_kernel():
+    # divisibility is containment of slot words, tested in hypergraph only;
+    # the int-row kernel that ideals once kept must not come back
+    defined, gone = definitions_and_uses(
+        ("_contains", "_subsets", "minimal_columns"),
+        ("divisible_by_any", "minimal_rows"))
+    assert defined == [("hypergraph.py", "_contains"),
+                       ("hypergraph.py", "_subsets"),
+                       ("hypergraph.py", "minimal_columns")]
+    assert gone == []
+
+
+def test_polarization_has_one_chain_map():
+    # polarize_ideal and depolarize share one map type and one polarizer;
+    # the per-direction map, its dispatcher and the by-hand helpers stay gone
+    defined, gone = definitions_and_uses(
+        ("Depolarization", "_polarize_rows"),
+        ("PolarVariableMap", "_blocks_of", "polarize_index", "a_minus"))
+    assert defined == [("polarization.py", "Depolarization"),
+                       ("polarization.py", "_polarize_rows")]
     assert gone == []
 
 

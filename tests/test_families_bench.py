@@ -13,7 +13,7 @@ from depolar.ideals import InputError, ResourceLimit
 from depolar.families import (gen_power_ideal, gen_variable_powers, gen_jknm,
                               gen_random_ideal, FAMILY_BUILDERS)
 from depolar import bench
-from depolar.bench import (BenchRecord, run_cell, run_grid, bench_dual,
+from depolar.bench import (BenchRecord, run_cell, bench_dual,
                            table_cells, records_to_csv, CSV_SCHEMA)
 
 
@@ -128,15 +128,6 @@ def test_timed_out_cell_keeps_its_earlier_fields(monkeypatch):
     assert (r.n, r.gens_J, r.n_prime) == (2, 4, 6)
     assert r.gens_Jdual == 3 and r.t_Jdual_ms > 0 and r.t_alg1_ms > 0
     assert r.t_IDelta_ms is None and r.gens_IDelta is None
-
-
-def test_run_grid_threads_keep_order():
-    cells = [("jknm", {"n": 2}), ("varpowers", {"n": 2, "k": 2}),
-             ("power", {"n": 2, "k": 2})]
-    records = run_grid(cells, threads=2)
-    assert [r.family for r in records] == ["jknm", "varpowers", "power"]
-    assert all(r.status == "ok" for r in records)
-    assert records[1].gens_J == 2 and records[2].gens_J == 3
 
 
 def test_table_cells():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from depolar import InputError, MonomialIdeal, Ring, hypergraph, minimalize
+from depolar import (InputError, MonomialIdeal, Ring, hypergraph, ideals,
+                     minimalize)
 from depolar.ideals import (MAX_EXPONENT, check_exponent, format_monomial,
                             parse_monomial)
 
@@ -106,6 +107,26 @@ def test_constructor_contracts():
     with pytest.raises(InputError):
         MonomialIdeal.from_gens(Ring(["x"]), [(-1,)])
     assert MonomialIdeal(Ring(["x"]), ()).is_zero
+
+
+def test_from_gens_checks_each_generator_once(monkeypatch):
+    calls = []
+
+    def counted(m, n):
+        calls.append(m)
+        return check_exponent(m, n)
+
+    monkeypatch.setattr(ideals, "check_exponent", counted)
+    R = Ring(["x", "y"])
+    gens = [(2, 0), (1, 1), (2, 0), (3, 1), (0, 4)]
+    assert MonomialIdeal.from_gens(R, gens).gens == ((0, 4), (1, 1), (2, 0))
+    assert len(calls) == len(gens)
+    for bad in ([(1, 0), (1,)], [(1, 0), (True, 1)], [(1.5, 0)], [(-1, 2)],
+                [(MAX_EXPONENT + 1, 0)], [(1, 0), (0, 0)]):
+        with pytest.raises(InputError):
+            MonomialIdeal.from_gens(R, bad)
+    assert MonomialIdeal.from_gens(R, [(MAX_EXPONENT, 0)]).gens \
+        == ((MAX_EXPONENT, 0),)
 
 
 def test_basic_queries():

@@ -1,15 +1,20 @@
 import pytest
 
-from depolar import (InputError, MonomialIdeal, PolarVariableMap, Ring,
-                     expanded_koszul, koszul_complex, polarize_ideal,
-                     verify_polar_koszul_iso)
-from depolar.polarization import block_names, polarize_index
+import oracles
+from depolar import (ChainPartition, InputError, MonomialIdeal, Ring,
+                     alexander_dual_ideal, depolarize, expanded_koszul,
+                     koszul_complex, polarize_ideal, repolarize_dual,
+                     validate_depolarization, verify_polar_koszul_iso)
+from depolar.hypergraph import bits_of
+from depolar.polarization import block_names
 
 
-def test_polarize_index():
-    assert polarize_index((2, 0, 1), (3, 1, 2)) == (1, 1, 0, 0, 1, 0)
-    with pytest.raises(InputError):
-        polarize_index((2,), (1,))
+def random_ideal(rng):
+    n = rng.randint(1, 4)
+    gens = [tuple(rng.randint(0, 3) for _ in range(n))
+            for _ in range(rng.randint(1, 5))]
+    gens = [g for g in gens if any(g)] or [(1,) * n]
+    return MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), gens)
 
 
 def test_block_names():
@@ -31,7 +36,7 @@ def test_polarize_golden():
     J = MonomialIdeal.from_gens(
         Ring(["x", "y", "z", "t"]),
         [(3, 1, 0, 0), (0, 1, 3, 0), (2, 3, 2, 1), (0, 0, 3, 1)])
-    P, pmap = polarize_ideal(J)
+    P, D = polarize_ideal(J)
     assert P.ring.variables == ("x_1", "x_2", "x_3", "y_1", "y_2", "y_3",
                                 "z_1", "z_2", "z_3", "t_1")
     names = [{P.ring.variables[i] for i, e in enumerate(g) if e} for g in P.gens]
@@ -40,29 +45,19 @@ def test_polarize_golden():
         frozenset({"y_1", "z_1", "z_2", "z_3"}),
         frozenset({"x_1", "x_2", "y_1", "y_2", "y_3", "z_1", "z_2", "t_1"}),
         frozenset({"z_1", "z_2", "z_3", "t_1"})}
-    assert pmap.block_sizes() == (3, 3, 3, 1)
+    assert D.ideal == J and D.source_ring == P.ring
+    assert D.chains == ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9,))
     assert P.is_squarefree()
     assert len(P.gens) == len(J.gens)
 
 
 def test_polarize_identity_on_squarefree():
     I = MonomialIdeal.from_gens(Ring(["x", "y"]), [(1, 0), (0, 1)])
-    P, pmap = polarize_ideal(I)
+    P, D = polarize_ideal(I)
     assert P.gens == I.gens
-    assert pmap.block_sizes() == (1, 1)
+    assert D.chains == ((0,), (1,))
     with pytest.raises(InputError):
         polarize_ideal(MonomialIdeal(Ring(["x"]), ()))
-
-
-def test_variable_map_roundtrip():
-    _, pmap = polarize_ideal(
-        MonomialIdeal.from_gens(Ring(["x", "y"]), [(2, 1)]))
-    back = PolarVariableMap.from_dict(pmap.to_dict())
-    assert back.blocks == pmap.blocks
-    with pytest.raises(InputError):
-        PolarVariableMap.from_dict({"source": ["x"]})
-    with pytest.raises(InputError):
-        PolarVariableMap(Ring(["x"]), Ring(["a", "b"]), [(0,)])
 
 
 def test_expanded_koszul_golden():
@@ -112,3 +107,36 @@ def test_iso_with_polarized_koszul(rng):
             continue
         I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), gens)
         assert verify_polar_koszul_iso(I)
+
+
+def test_expanded_koszul_matches_oracle(rng):
+    R3 = Ring(["x1", "x2", "x3"])
+    goldens = [
+        MonomialIdeal.from_gens(R3, [(3, 2, 0), (2, 3, 0), (2, 0, 1), (0, 2, 1)]),
+        MonomialIdeal.from_gens(Ring(["x", "y", "z"]), [(1, 1, 0), (1, 0, 1)]),
+        MonomialIdeal.from_gens(Ring(["x", "y"]), [(2, 2), (1, 3)]),
+        MonomialIdeal.from_gens(Ring(["x", "y"]), [(2, 1)])]
+    for I in goldens + [random_ideal(rng) for _ in range(150)]:
+        EK = expanded_koszul(I)
+        slots, facets = oracles.expanded_koszul_facets(I.gens)
+        assert EK.vertices == tuple(block_names(I.ring, I.monomial_span()))
+        assert EK.n == slots
+        assert sorted(map(frozenset, map(bits_of, EK.facets)),
+                      key=oracles.set_key) == facets
+
+
+def test_polarize_ideal_gives_the_chain_map(rng):
+    # one map read both ways: it validates, it carries the dual of J to
+    # the dual of P, and depolarizing along its chains gives J back
+    for _ in range(120):
+        J = random_ideal(rng)
+        P, D = polarize_ideal(J)
+        assert D.ideal == J and D.source_ring == P.ring
+        assert validate_depolarization(P, D)
+        assert repolarize_dual(alexander_dual_ideal(J), J.lcm_exponent(),
+                               D) == alexander_dual_ideal(P)
+        used = [i for i, c in enumerate(D.chains) if c]
+        back = depolarize(P, ChainPartition([D.chains[i] for i in used]))
+        assert back.chains == tuple(D.chains[i] for i in used)
+        assert back.ideal.gens == tuple(tuple(g[i] for i in used)
+                                        for g in J.gens)

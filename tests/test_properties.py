@@ -89,16 +89,16 @@ def test_dual_involution(I):
 @given(ideals(max_n=3, max_gens=4, emax=3))
 @RUNS
 def test_repolarized_dual_equals_polar_dual(I):
-    P, pmap = polarize_ideal(I)
+    P, D = polarize_ideal(I)
     assembled = repolarize_dual(alexander_dual_ideal(I),
-                                I.lcm_exponent(), pmap)
+                                I.lcm_exponent(), D)
     assert assembled == alexander_dual_ideal(P)
 
 
 def repolarize_case(rnd, nested):
-    """(Jdual, mu, mapping, blocks) with generators bounded by mu.  Either
-    two or more generators share one support, or (nested) some generator
-    has its support strictly inside another's.  The mapping comes from
+    """(Jdual, mu, D) with generators bounded by mu.  Either two or more
+    generators share one support, or (nested) some generator has its
+    support strictly inside another's.  The Depolarization D comes from
     polarize_ideal or from depolarize of a squarefree ideal."""
     while True:
         polar = rnd.random() < 0.5
@@ -106,16 +106,14 @@ def repolarize_case(rnd, nested):
         R = Ring([f"x{i}" for i in range(1, n + 1)])
         if polar:
             mu = tuple(rnd.randint(1, 3) for _ in range(n))
-            _, mapping = polarize_ideal(MonomialIdeal.from_gens(
+            _, D = polarize_ideal(MonomialIdeal.from_gens(
                 R, [tuple(m if j == i else 0 for j, m in enumerate(mu))
                     for i in range(n)]))
-            blocks = mapping.blocks
         else:
-            mapping = depolarize(MonomialIdeal.from_gens(R, [
+            D = depolarize(MonomialIdeal.from_gens(R, [
                 tuple(int(i == k or rnd.random() < 0.4) for i in range(n))
                 for k in rnd.sample(range(n), rnd.randint(1, n))]))
-            R, mu = mapping.ideal.ring, mapping.ideal.lcm_exponent()
-            blocks = mapping.chains
+            R, mu = D.ideal.ring, D.ideal.lcm_exponent()
         live = [i for i, m in enumerate(mu) if m]
         if len(live) < 2:
             continue
@@ -133,15 +131,15 @@ def repolarize_case(rnd, nested):
                  for g in Jdual.gens]
         if (any(a < b for a in found for b in found) if nested
                 else len(set(found)) < len(found)):
-            return Jdual, mu, mapping, blocks
+            return Jdual, mu, D
 
 
 def check_repolarize_dual(case):
-    Jdual, mu, mapping, blocks = case
-    got = repolarize_dual(Jdual, mu, mapping)
+    Jdual, mu, D = case
+    got = repolarize_dual(Jdual, mu, D)
     assert sorted((frozenset(i for i, e in enumerate(g) if e)
                    for g in got.gens), key=oracles.set_key) \
-        == oracles.repolarized_dual(Jdual.gens, mu, blocks)
+        == oracles.repolarized_dual(Jdual.gens, mu, D.chains)
 
 
 @given(st.randoms(use_true_random=True))
