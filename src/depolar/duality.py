@@ -41,12 +41,11 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
         raise InputError("cannot expand the zero ideal")
     if not isinstance(D, Depolarization):
         raise InputError("the variable map must be a Depolarization")
-    if len(D.chains) != Jdual.n:
-        raise InputError("bijection arity mismatch: one chain per variable")
+    if Jdual.ring != D.ideal.ring:
+        raise InputError("the dual must be in the ring of the depolarization")
     mu = check_exponent(mu, Jdual.n)
-    for m, c in zip(mu, D.chains):
-        if m > len(c):
-            raise InputError("bijection arity mismatch: chain shorter than mu")
+    if any(m > len(c) for m, c in zip(mu, D.chains)):
+        raise InputError("bijection arity mismatch: chain shorter than mu")
     G = np.array(Jdual.gens, dtype=np.int64)
     top = np.array(mu, dtype=np.int64)
     over = (G > top).any(axis=1)

@@ -13,6 +13,14 @@ one encoder of monomials as masks, and minimal_columns the package's one
 minimal-elements kernel.  A vertex set is the case of one slot per block,
 and the dual of a squarefree ideal is the set of minimal transversals of
 its generator supports.
+
+berge_fold, the one dual kernel, tests the joins of a row only against
+the masks that meet the row exactly once: a join sets one slot of the row,
+so any mask inside it meets the row once, at that slot.  On a row of
+first slots only (every squarefree row) a join adds that one slot, so a
+mask u kills the join of t at the slot where u meets the row exactly when
+u minus the row lies inside t; one containment test per (t, u) pair
+decides it.
 """
 
 import numpy as np
@@ -200,7 +208,9 @@ _BUDGET = 4_000_000
 
 def _subsets(cand, keep, reduce=np.logical_or.reduce):
     """reduce over the columns of keep inside each column of cand: by
-    default whether there is one, with np.add.reduce how many."""
+    default whether there is one, with np.add.reduce how many.  reduce
+    gets a boolean block of _contains and axis=1, and gives one row per
+    column of cand."""
     if cand.shape[1] * keep.size <= _BUDGET:
         return reduce(_contains(cand, keep), axis=1)
     step = max(1, _BUDGET // keep.size)
@@ -255,6 +265,15 @@ def berge_fold(hits, starts, cap=None):
     joined with the block prefix up to every slot of the row, and a join
     is dropped when it contains a survivor or another join.  Returns the
     minimal masks as a (W, N) array.
+
+    A join t + prefix(v) of a mask t that misses the row sets v and no
+    other slot of the row, so a survivor u inside it meets the row at v
+    alone.  Joins are therefore tested only against once, the survivors
+    that set exactly one slot of the row.  When every slot of the row is
+    the first of its block, prefix(v) is v itself, and u lies inside
+    t + v exactly when u meets the row at v and the rest of u lies inside
+    t: one test of t against u minus the row then settles the join of t
+    with the one slot where u meets the row.
     """
     # slots first in each row, so row j's prefixes are prefix[:, j, :size[j]];
     # a -1 pad gets an empty prefix and adds nothing to the row's edge
@@ -270,22 +289,39 @@ def berge_fold(hits, starts, cap=None):
     # needs a prefix longer than one slot and at least two such masks.
     deep = (hits > first).any(axis=1).tolist()
     size = (hits >= 0).sum(axis=1).tolist()
-    zero = np.uint64(0)
+    # per row: its edge and the slots off it as (W, 1), its prefixes as
+    # (W, 1, slots)
+    edges = edges.T[:, :, None]
+    prefix = prefix.transpose(1, 0, 2)[:, :, None, :]
     T = np.zeros((W, 1), dtype=np.uint64)
-    for j in range(len(hits)):
-        hit = (T[0] & edges[0, j]) != zero
-        for w in range(1, W):
-            hit |= (T[w] & edges[w, j]) != zero
-        t_miss = T.compress(~hit, axis=1)
+    for edge, rest, pj, k, d in zip(edges, ~edges, prefix, size, deep):
+        met = _popcount(T & edge)
+        met = met[0] if W == 1 else met.sum(axis=0)
+        t_miss = T.compress(met == 0, axis=1)
         if not t_miss.shape[1]:
             continue
-        t_hit = T.compress(hit, axis=1)
-        pj = prefix[:, j, :size[j]]
-        cand = (t_miss[:, :, None] | pj[:, None, :]).reshape(W, -1)
-        if deep[j] and t_miss.shape[1] > 1:
+        once = T.compress(met == 1, axis=1)
+        T = T.compress(met, axis=1)
+        pj = pj[..., :k]
+        cand = (t_miss[:, :, None] | pj).reshape(W, -1)
+        if d and t_miss.shape[1] > 1:
             cand = minimal_columns(cand)
-        cand = cand.compress(~_subsets(cand, t_hit), axis=1)
-        T = np.concatenate([t_hit, cand], axis=1)
+        if d or t_miss.shape[1] == 1:
+            # with one mask missing the row, the stripped test below and
+            # its slot map test no fewer words than the joins against once
+            cand = cand.compress(~_subsets(cand, once), axis=1)
+        elif once.shape[1]:
+            # meets[u, v]: u sets slot v; killers[t, v] counts the u that
+            # meet the row at v with the rest inside t.  A float32 sum of
+            # 0s and 1s is 0 exactly when every term is, so the count can
+            # run in BLAS.
+            meets = _contains(once, pj[:, 0]).astype(np.float32)
+
+            def per_slot(inside, axis):
+                return inside.astype(np.float32) @ meets
+            killers = _subsets(t_miss, once & rest, per_slot)
+            cand = cand.compress(killers.ravel() == 0, axis=1)
+        T = np.concatenate([T, cand], axis=1)
         if cap is not None and T.shape[1] > cap:
             raise ResourceLimit(f"{T.shape[1]} minimal masks exceed cap {cap}")
     return T
@@ -314,10 +350,12 @@ def alexander_dual_ideal(I, a=None, cap=None):
     # colex order; on squarefree generators it is the ascending mask order,
     # so once every edge inside the first k vertices is in, the state is the
     # transversal set of those edges, never larger than the final one
-    G = np.array(sorted(I.gens, key=lambda g: g[::-1]), dtype=np.int64)
+    G = np.array(I.gens, dtype=np.int64)
+    G = G[np.lexsort(G.T)]
     slot, level, lo, hi = level_slots(np.array(a, dtype=np.int64) + 1 - G,
                                       G > 0)
     T = berge_fold(slot, np.repeat(lo, hi - lo), cap)
     # the top slot set in block i holds t_i
     exps = slot_levels(T, level, lo, hi)
-    return MonomialIdeal(I.ring, sorted(map(tuple, exps.tolist())))
+    exps = exps[np.lexsort(exps.T[::-1])]
+    return MonomialIdeal._trusted(I.ring, tuple(map(tuple, exps.tolist())))

@@ -155,6 +155,16 @@ class MonomialIdeal:
         self.gens = gens
 
     @classmethod
+    def _trusted(cls, ring, gens):
+        """The ideal of gens, a strictly lex-sorted tuple of nonzero,
+        pairwise incomparable exponent tuples of the ring's length, taken
+        unchecked: for rows a caller has just built that way."""
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal.gens = gens
+        return ideal
+
+    @classmethod
     def from_gens(cls, ring, gens):
         """Build an ideal from arbitrary generators, minimalizing them."""
         return cls(ring, _minimal_of({check_exponent(g, ring.n) for g in gens}))

@@ -9,6 +9,7 @@ per variable; depolarization.depolarize finds it from the support poset.
 """
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -21,14 +22,35 @@ class Depolarization:
     """A depolarized ideal plus the chain bijection back to source variables.
 
     chains[c][j-1] is the source variable playing the j-th copy of the c-th
-    depolarized variable.
+    depolarized variable.  The constructor checks that the map is one: one
+    chain per variable of the ideal, disjoint chains of variables of the
+    source ring, and each chain at least as long as the highest exponent
+    of its variable.  A bad map raises InputError.
     """
 
     __slots__ = ("ideal", "chains", "source_ring")
 
     def __init__(self, ideal, chains, source_ring):
+        if not isinstance(ideal, MonomialIdeal) \
+                or not isinstance(source_ring, Ring):
+            raise InputError("a Depolarization maps an ideal to a Ring")
+        try:
+            chains = tuple(tuple(map(operator.index, c)) for c in chains)
+        except TypeError:
+            raise InputError("chains must list variable indices") from None
+        if len(chains) != ideal.n:
+            raise InputError("bijection arity mismatch: one chain per variable")
+        flat = set(itertools.chain.from_iterable(chains))
+        if len(flat) != sum(map(len, chains)):
+            raise InputError("chains overlap")
+        if flat and not 0 <= min(flat) <= max(flat) < source_ring.n:
+            raise InputError("a chain leaves the source ring")
+        if not ideal.is_zero and any(
+                m > len(c) for m, c in zip(ideal.lcm_exponent(), chains)):
+            raise InputError("bijection arity mismatch: a chain is shorter "
+                             "than its variable's exponent")
         self.ideal = ideal
-        self.chains = tuple(tuple(c) for c in chains)
+        self.chains = chains
         self.source_ring = source_ring
 
     def to_dict(self):
@@ -72,7 +94,9 @@ def polarize_ideal(I):
     target = Ring(block_names(I.ring, a))
     chains = [tuple(range(end - k, end))
               for end, k in zip(itertools.accumulate(a), a)]
-    P = MonomialIdeal(target, map(tuple, _polarize_rows(G, chains).tolist()))
+    # the rows of G(I) polarized: minimal, and still strictly lex sorted
+    P = MonomialIdeal._trusted(
+        target, tuple(map(tuple, _polarize_rows(G, chains).tolist())))
     return P, Depolarization(I, chains, target)
 
 

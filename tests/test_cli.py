@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from depolar import cli
-from depolar.ideals import Ring, MonomialIdeal
 
 
 def xyz_dict():

@@ -1,6 +1,5 @@
 import ast
 import inspect
-import itertools
 import sys
 import time
 
@@ -9,11 +8,13 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 import oracles
-from depolar import (ChainPartition, InputError, MonomialIdeal, Ring,
+from depolar import (ChainPartition, Depolarization, InputError,
+                     MonomialIdeal, Ring,
                      depolarize, min_chain_partition, ordered_support_poset,
                      polarize_ideal, singleton_partition, support_sets,
                      validate_depolarization)
 from depolar import depolarization
+from depolar.duality import alexander_dual_ideal, repolarize_dual
 from depolar.families import gen_power_ideal
 
 # the running 10-variable example: P(<x^3 y, y z^3, x^2 y^3 z^2 t, z^3 t>)
@@ -170,6 +171,43 @@ def test_depolarize_rejects_bad_partitions():
         ChainPartition([()])
     with pytest.raises(InputError):
         depolarize(MonomialIdeal(Ring(["x"]), ()))
+
+
+def test_depolarization_checks_its_chains():
+    # a map that is not a chain bijection fails when it is built, so
+    # validate_depolarization and repolarize_dual never index past a chain
+    J = MonomialIdeal.from_gens(Ring(["a", "b"]), [(2, 0), (0, 1)])
+    I, D = polarize_ideal(J)  # chains (0, 1) and (2,) in x_1 x_2 y_1
+    assert D.chains == ((0, 1), (2,))
+    bad = [((0,), (5,)),        # leaves the source ring
+           ((0, 1), (-1,)),     # so does a negative index
+           ((0, 1), (1,)),      # chains overlap
+           ((0, 1),),           # one chain short
+           ((0, 1), (2,), ()),  # one chain too many
+           ((0,), (1, 2)),      # a is raised to 2 but its chain has 1 slot
+           ((0, 1.0), (2,))]    # not an index
+    for chains in bad:
+        with pytest.raises(InputError):
+            Depolarization(J, chains, I.ring)
+    with pytest.raises(InputError):
+        validate_depolarization(I, Depolarization(J, ((0,), (5,)), I.ring))
+    with pytest.raises(InputError):
+        Depolarization(J, D.chains, I.ring.variables)
+    # longer chains and empty ones are maps; the zero ideal needs no length
+    wide = Ring(["x_1", "x_2", "x_3", "y_1", "z_1"])
+    D = Depolarization(J, ((0, 1, 2), (3,)), wide)
+    assert not validate_depolarization(
+        MonomialIdeal.from_gens(wide, [(1, 1, 0, 0, 0), (0, 0, 0, 0, 1)]), D)
+    zero = MonomialIdeal(Ring(["a", "b"]), ())
+    assert Depolarization(zero, ((), ()), wide).chains == ((), ())
+    # repolarize_dual takes the dual in D's ring, and mu within the chains
+    _, D = polarize_ideal(J)
+    Jd = alexander_dual_ideal(J)
+    with pytest.raises(InputError):
+        repolarize_dual(MonomialIdeal(Ring(["c", "d"]), Jd.gens), (2, 1), D)
+    with pytest.raises(InputError):
+        repolarize_dual(Jd, (3, 1), D)
+    assert repolarize_dual(Jd, (2, 1), D) == alexander_dual_ideal(I)
 
 
 def test_non_prefix_chain_rejected():
