@@ -44,8 +44,9 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     if Jdual.ring != D.ideal.ring:
         raise InputError("the dual must be in the ring of the depolarization")
     mu = check_exponent(mu, Jdual.n)
-    if any(m > len(c) for m, c in zip(mu, D.chains)):
-        raise InputError("bijection arity mismatch: chain shorter than mu")
+    for m, c in zip(mu, D.chains):
+        if m > len(c):
+            raise InputError("bijection arity mismatch: chain shorter than mu")
     G = np.array(Jdual.gens, dtype=np.int64)
     top = np.array(mu, dtype=np.int64)
     over = (G > top).any(axis=1)

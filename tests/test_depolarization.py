@@ -9,9 +9,9 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 import oracles
 from depolar import (ChainPartition, Depolarization, InputError,
-                     MonomialIdeal, Ring,
-                     depolarize, min_chain_partition, ordered_support_poset,
-                     polarize_ideal, singleton_partition, support_sets,
+                     MonomialIdeal, Ring, depolarize, min_chain_partition,
+                     ordered_support_poset, polarize_ideal,
+                     singleton_partition, support_sets,
                      validate_depolarization)
 from depolar import depolarization
 from depolar.duality import alexander_dual_ideal, repolarize_dual
