@@ -195,8 +195,6 @@ def depolarize(I, partition=None):
         raise InputError(f"bad partition {partition!r}")
     chains = partition.chains
     flat = [i for c in chains for i in c]
-    if len(set(flat)) != len(flat):
-        raise InputError("chains overlap")
     if set(flat) != set(poset.elements):
         raise InputError("chains must cover exactly the support of the ideal")
     lens = np.array([len(c) for c in chains])
@@ -215,10 +213,7 @@ def depolarize(I, partition=None):
     k = np.add.reduceat(poset.incidence[:, flat], starts, axis=1,
                         dtype=np.int64)
     ring_out = Ring([I.ring.variables[c[0]] for c in chains])
-    # polarizing these rows along the chains gives G(I) back, so they are
-    # nonzero, distinct and minimal
-    ideal = MonomialIdeal._trusted(ring_out,
-                                   tuple(sorted(map(tuple, k.tolist()))))
+    ideal = MonomialIdeal(ring_out, sorted(map(tuple, k.tolist())))
     return Depolarization(ideal, chains, I.ring)
 
 
@@ -230,7 +225,12 @@ def validate_depolarization(I, D):
         return False
     if D.ideal.is_zero:
         return True
-    # D's constructor checked its chains against D.ideal and its source ring
+    if len(D.chains) != D.ideal.n:
+        return False
+    mu = D.ideal.lcm_exponent()
+    if any(m > len(c) for m, c in zip(mu, D.chains)):
+        return False
+    # D's constructor checked that the chains are disjoint and in I's ring
     flat = [i for c in D.chains for i in c]
     A = np.array(I.gens, dtype=np.uint8)
     if np.delete(A, flat, axis=1).any():

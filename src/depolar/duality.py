@@ -41,8 +41,8 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
         raise InputError("cannot expand the zero ideal")
     if not isinstance(D, Depolarization):
         raise InputError("the variable map must be a Depolarization")
-    if Jdual.ring != D.ideal.ring:
-        raise InputError("the dual must be in the ring of the depolarization")
+    if len(D.chains) != Jdual.n:
+        raise InputError("bijection arity mismatch: one chain per variable")
     mu = check_exponent(mu, Jdual.n)
     for m, c in zip(mu, D.chains):
         if m > len(c):

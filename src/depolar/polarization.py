@@ -22,10 +22,10 @@ class Depolarization:
     """A depolarized ideal plus the chain bijection back to source variables.
 
     chains[c][j-1] is the source variable playing the j-th copy of the c-th
-    depolarized variable.  The constructor checks that the map is one: one
-    chain per variable of the ideal, disjoint chains of variables of the
-    source ring, and each chain at least as long as the highest exponent
-    of its variable.  A bad map raises InputError.
+    depolarized variable.  The constructor checks that the chains are
+    disjoint sequences of variables of the source ring, and raises
+    InputError if not.  It does not check the chain count or lengths
+    against the ideal: validate_depolarization and repolarize_dual do.
     """
 
     __slots__ = ("ideal", "chains", "source_ring")
@@ -38,17 +38,11 @@ class Depolarization:
             chains = tuple(tuple(map(operator.index, c)) for c in chains)
         except TypeError:
             raise InputError("chains must list variable indices") from None
-        if len(chains) != ideal.n:
-            raise InputError("bijection arity mismatch: one chain per variable")
         flat = set(itertools.chain.from_iterable(chains))
         if len(flat) != sum(map(len, chains)):
             raise InputError("chains overlap")
         if flat and not 0 <= min(flat) <= max(flat) < source_ring.n:
             raise InputError("a chain leaves the source ring")
-        if not ideal.is_zero and any(
-                m > len(c) for m, c in zip(ideal.lcm_exponent(), chains)):
-            raise InputError("bijection arity mismatch: a chain is shorter "
-                             "than its variable's exponent")
         self.ideal = ideal
         self.chains = chains
         self.source_ring = source_ring
@@ -94,9 +88,7 @@ def polarize_ideal(I):
     target = Ring(block_names(I.ring, a))
     chains = [tuple(range(end - k, end))
               for end, k in zip(itertools.accumulate(a), a)]
-    # the rows of G(I) polarized: minimal, and still strictly lex sorted
-    P = MonomialIdeal._trusted(
-        target, tuple(map(tuple, _polarize_rows(G, chains).tolist())))
+    P = MonomialIdeal(target, map(tuple, _polarize_rows(G, chains).tolist()))
     return P, Depolarization(I, chains, target)
 
 

@@ -174,17 +174,15 @@ def test_depolarize_rejects_bad_partitions():
 
 
 def test_depolarization_checks_its_chains():
-    # a map that is not a chain bijection fails when it is built, so
-    # validate_depolarization and repolarize_dual never index past a chain
+    # chains that overlap or leave the source ring fail when the map is
+    # built, so validate_depolarization never indexes past I's ring; a
+    # wrong chain count or a short chain is a map that does not validate
     J = MonomialIdeal.from_gens(Ring(["a", "b"]), [(2, 0), (0, 1)])
     I, D = polarize_ideal(J)  # chains (0, 1) and (2,) in x_1 x_2 y_1
     assert D.chains == ((0, 1), (2,))
     bad = [((0,), (5,)),        # leaves the source ring
            ((0, 1), (-1,)),     # so does a negative index
            ((0, 1), (1,)),      # chains overlap
-           ((0, 1),),           # one chain short
-           ((0, 1), (2,), ()),  # one chain too many
-           ((0,), (1, 2)),      # a is raised to 2 but its chain has 1 slot
            ((0, 1.0), (2,))]    # not an index
     for chains in bad:
         with pytest.raises(InputError):
@@ -193,6 +191,12 @@ def test_depolarization_checks_its_chains():
         validate_depolarization(I, Depolarization(J, ((0,), (5,)), I.ring))
     with pytest.raises(InputError):
         Depolarization(J, D.chains, I.ring.variables)
+    assert validate_depolarization(I, D)
+    for chains in [((0, 1),),           # one chain short
+                   ((0, 1), (2,), ()),  # one chain too many
+                   ((0,), (1, 2))]:     # a is raised to 2, its chain has 1
+        assert not validate_depolarization(
+            I, Depolarization(J, chains, I.ring))
     # longer chains and empty ones are maps; the zero ideal needs no length
     wide = Ring(["x_1", "x_2", "x_3", "y_1", "z_1"])
     D = Depolarization(J, ((0, 1, 2), (3,)), wide)
@@ -200,11 +204,11 @@ def test_depolarization_checks_its_chains():
         MonomialIdeal.from_gens(wide, [(1, 1, 0, 0, 0), (0, 0, 0, 0, 1)]), D)
     zero = MonomialIdeal(Ring(["a", "b"]), ())
     assert Depolarization(zero, ((), ()), wide).chains == ((), ())
-    # repolarize_dual takes the dual in D's ring, and mu within the chains
+    # repolarize_dual needs one chain per variable, and mu within the chains
     _, D = polarize_ideal(J)
     Jd = alexander_dual_ideal(J)
     with pytest.raises(InputError):
-        repolarize_dual(MonomialIdeal(Ring(["c", "d"]), Jd.gens), (2, 1), D)
+        repolarize_dual(Jd, (2, 1), Depolarization(J, D.chains[:1], I.ring))
     with pytest.raises(InputError):
         repolarize_dual(Jd, (3, 1), D)
     assert repolarize_dual(Jd, (2, 1), D) == alexander_dual_ideal(I)
