@@ -213,7 +213,10 @@ def depolarize(I, partition=None):
     k = np.add.reduceat(poset.incidence[:, flat], starts, axis=1,
                         dtype=np.int64)
     ring_out = Ring([I.ring.variables[c[0]] for c in chains])
-    ideal = MonomialIdeal(ring_out, sorted(map(tuple, k.tolist())))
+    # polarizing these rows along the chains gives G(I) back, so they are
+    # nonzero, distinct and minimal
+    ideal = MonomialIdeal._trusted(ring_out,
+                                   tuple(sorted(map(tuple, k.tolist()))))
     return Depolarization(ideal, chains, I.ring)
 
 

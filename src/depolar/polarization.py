@@ -88,7 +88,9 @@ def polarize_ideal(I):
     target = Ring(block_names(I.ring, a))
     chains = [tuple(range(end - k, end))
               for end, k in zip(itertools.accumulate(a), a)]
-    P = MonomialIdeal(target, map(tuple, _polarize_rows(G, chains).tolist()))
+    # the rows of G(I) polarized: minimal, and still strictly lex sorted
+    P = MonomialIdeal._trusted(
+        target, tuple(map(tuple, _polarize_rows(G, chains).tolist())))
     return P, Depolarization(I, chains, target)
 
 

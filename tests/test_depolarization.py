@@ -169,6 +169,10 @@ def test_depolarize_rejects_bad_partitions():
         depolarize(I, "frobnicate")
     with pytest.raises(InputError):
         ChainPartition([()])
+    # both chains ascend and they cover {x, y}, but they share y
+    xy = MonomialIdeal.from_gens(Ring(["x", "y"]), [(1, 1)])
+    with pytest.raises(InputError, match="overlap"):
+        depolarize(xy, ChainPartition([(0, 1), (1,)]))
     with pytest.raises(InputError):
         depolarize(MonomialIdeal(Ring(["x"]), ()))
 
