@@ -195,6 +195,10 @@ def depolarize(I, partition=None):
         raise InputError(f"bad partition {partition!r}")
     chains = partition.chains
     flat = [i for c in chains for i in c]
+    # checked here as well as in Depolarization: two chains that start at
+    # one variable would otherwise fail as a duplicate name in ring_out
+    if len(set(flat)) != len(flat):
+        raise InputError("chains overlap")
     if set(flat) != set(poset.elements):
         raise InputError("chains must cover exactly the support of the ideal")
     lens = np.array([len(c) for c in chains])

@@ -169,10 +169,11 @@ def test_depolarize_rejects_bad_partitions():
         depolarize(I, "frobnicate")
     with pytest.raises(InputError):
         ChainPartition([()])
-    # both chains ascend and they cover {x, y}, but they share y
+    # the chains ascend and cover {x, y}, but they share a variable
     xy = MonomialIdeal.from_gens(Ring(["x", "y"]), [(1, 1)])
-    with pytest.raises(InputError, match="overlap"):
-        depolarize(xy, ChainPartition([(0, 1), (1,)]))
+    for chains in ([(0, 1), (1,)], [(0, 1), (0,)]):
+        with pytest.raises(InputError, match="overlap"):
+            depolarize(xy, ChainPartition(chains))
     with pytest.raises(InputError):
         depolarize(MonomialIdeal(Ring(["x"]), ()))
 
