@@ -16,7 +16,6 @@ from .complexes import (
     stanley_reisner_ideal,
 )
 from .depolarization import (
-    ChainPartition,
     Depolarization,
     SupportPoset,
     depolarize,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable",
-    "ChainPartition",
     "Depolarization",
     "FAMILY_BUILDERS",
     "InputError",

@@ -141,15 +141,11 @@ def run_cell(family, params, timeout_s=300, mem_mb=None, size_res=False):
     return record
 
 
-def run_grid(cells, timeout_s=300, mem_mb=None, size_res=False):
-    """Run cells (family, params) pairs one after another, so no two cells
-    share the cores they are timed on; rows come back in grid order."""
-    return [run_cell(f, p, timeout_s, mem_mb, size_res) for f, p in cells]
-
-
 def bench_dual(cells, timeout_s=300, mem_mb=None, size_res=False):
-    """Run a benchmark grid and return (records, csv_text)."""
-    records = run_grid(cells, timeout_s, mem_mb, size_res)
+    """Run cells (family, params) pairs one after another, so no two cells
+    share the cores they are timed on, and return (records, csv_text) with
+    rows in grid order."""
+    records = [run_cell(f, p, timeout_s, mem_mb, size_res) for f, p in cells]
     return records, records_to_csv(records)
 
 

@@ -6,6 +6,7 @@ dual-ideal, dual-complex, homology, betti, bench.  Exit codes: 0 ok,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -100,9 +101,7 @@ def cmd_polarize(args):
     P, D = polarize_ideal(I)
     if args.map:
         with open(args.map, "w") as fh:
-            json.dump({"source": list(I.ring.variables),
-                       "target": list(P.ring.variables),
-                       "blocks": [list(c) for c in D.chains]}, fh, indent=2)
+            json.dump(D.to_dict(), fh, indent=2)
     emit(args, P.to_dict(), lambda: ideal_text(P))
 
 
@@ -111,7 +110,7 @@ def cmd_depolarize(args):
     D = depolarize(I, args.partition)
     if args.map:
         with open(args.map, "w") as fh:
-            json.dump(D.to_dict()["chains"], fh, indent=2)
+            json.dump(D.to_dict(), fh, indent=2)
     emit(args, D.ideal.to_dict(), lambda: ideal_text(D.ideal))
 
 
@@ -184,15 +183,8 @@ def cmd_bench(args):
         cells, timeout_s=args.timeout, mem_mb=args.mem_mb,
         size_res=args.size_res)
     if args.format == "json":
-        payload = []
-        for r in records:
-            d = {f: getattr(r, f) for f in (
-                "family", "params", "n", "n_prime", "gens_J", "gens_Jdual",
-                "gens_IDelta", "t_Jdual_ms", "t_IDelta_ms", "t_alg1_ms",
-                "size_res", "status")}
-            d["ratio_gens"] = r.ratio_gens()
-            d["ratio_vars"] = r.ratio_vars()
-            payload.append(d)
+        payload = [dict(dataclasses.asdict(r), ratio_gens=r.ratio_gens(),
+                        ratio_vars=r.ratio_vars()) for r in records]
         out = json.dumps(payload, indent=2) + "\n"
     else:
         out = text
@@ -240,7 +232,7 @@ def build_parser():
 
     p = sub.add_parser("polarize", help="polarize a monomial ideal")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--map", help="write the variable map JSON here")
+    p.add_argument("--map", help="write the chain map JSON here")
     add_global_flags(p, suppress=True)
     p.set_defaults(fn=cmd_polarize)
 
@@ -249,7 +241,7 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--partition", choices=["min", "singleton"],
                    default="min")
-    p.add_argument("--map", help="write the chain partition JSON here")
+    p.add_argument("--map", help="write the chain map JSON here")
     add_global_flags(p, suppress=True)
     p.set_defaults(fn=cmd_depolarize)
 

@@ -183,13 +183,14 @@ def facet_complement_ideal(cx):
     if cx.kind != "proper":
         raise InputError("facet complement ideal needs a proper complex")
     full = (1 << cx.n) - 1
-    if cx.is_full_simplex():
+    if cx.facets[-1] == full:
         raise InputError("the full simplex gives the unit ideal")
     gens = []
     for f in cx.facets:
         m = full ^ f
         gens.append(tuple((m >> i) & 1 for i in range(cx.n)))
-    return MonomialIdeal(Ring(cx.vertices), sorted(gens))
+    # no facet is full, so no row is zero; antichain facets give minimal rows
+    return MonomialIdeal._trusted(Ring(cx.vertices), tuple(sorted(gens)))
 
 
 def facet_complement_complex(I):

@@ -3,7 +3,8 @@
 import numpy as np
 
 from .ideals import InputError, MonomialIdeal, Ring
-from .polarization import Depolarization, _polarize_rows, polarize_ideal
+from .polarization import (Depolarization, _chain_tuples, _polarize_rows,
+                           polarize_ideal)
 
 
 class SupportPoset:
@@ -40,37 +41,6 @@ class SupportPoset:
         return bool(self._ascending(seq[:-1], seq[1:]).all())
 
 
-class ChainPartition:
-    """Disjoint chains covering the support of an ideal."""
-
-    __slots__ = ("chains",)
-
-    def __init__(self, chains):
-        self.chains = tuple(tuple(int(i) for i in c) for c in chains)
-        if any(not c for c in self.chains):
-            raise InputError("empty chain")
-
-    def __eq__(self, other):
-        return isinstance(other, ChainPartition) and self.chains == other.chains
-
-    def __hash__(self):
-        return hash(self.chains)
-
-    def __repr__(self):
-        return f"ChainPartition{list(map(list, self.chains))}"
-
-    def to_dict(self, ring):
-        return {"chains": [[ring.variables[i] for i in c] for c in self.chains]}
-
-    @classmethod
-    def from_dict(cls, ring, data):
-        try:
-            chains = data["chains"]
-        except (KeyError, TypeError):
-            raise InputError("partition JSON needs 'chains'") from None
-        return cls([[ring.index(v) for v in c] for c in chains])
-
-
 def _incidence(I):
     """Generator x variable 0/1 matrix of a squarefree ideal, as bool."""
     G = np.array(I.gens, dtype=np.int64).reshape(len(I.gens), I.n)
@@ -93,7 +63,7 @@ def ordered_support_poset(I):
 
 
 def singleton_partition(poset):
-    return ChainPartition([(i,) for i in poset.elements])
+    return tuple((i,) for i in poset.elements)
 
 
 def _successors(cols):
@@ -148,8 +118,8 @@ def min_chain_partition(poset):
     posets have the same width.  The matching runs on the groups, numbered
     by their first ring position: Kuhn's augmenting path searches start
     from each group in that order and try successors in that order, so the
-    result is deterministic.  A chain lists the members of its groups in
-    ring order, and chains come in the order of their first variable.
+    result is deterministic.  Each chain is a tuple of its groups' members
+    in ring order; chains come in the order of their first variable.
     """
     groups = {}  # insertion order: by first ring position
     cols = np.packbits(poset.incidence[:, poset.elements].T, axis=1)
@@ -168,17 +138,18 @@ def min_chain_partition(poset):
             while k is not None:
                 chain.extend(members[k])
                 k = nxt.get(k)
-            chains.append(chain)
-    return ChainPartition(chains)
+            chains.append(tuple(chain))
+    return tuple(chains)
 
 
 def depolarize(I, partition=None):
     """Collapse each chain of the support poset to powers of one variable.
 
-    partition may be None/'min', 'singleton', or a ChainPartition over the
-    support poset.  A non-squarefree ideal is replaced by its polarization
-    first.  Generator m maps to prod_c y_c^(|supp(m) chain_c|); the new
-    variable of a chain borrows the name of the chain's first element.
+    partition may be None/'min', 'singleton', or a sequence of chains of
+    variable indices covering the support poset.  A non-squarefree ideal
+    is replaced by its polarization first.  Generator m maps to
+    prod_c y_c^(|supp(m) chain_c|); the new variable of a chain borrows
+    the name of the chain's first element.
     """
     if I.is_zero:
         raise InputError("cannot depolarize the zero ideal")
@@ -187,18 +158,19 @@ def depolarize(I, partition=None):
         I, _ = polarize_ideal(I)
         G = np.array(I.gens, dtype=np.int64)
     poset = SupportPoset(I.ring, G > 0)
-    if partition is None or partition == "min":
-        partition = min_chain_partition(poset)
+    if not isinstance(partition, (str, type(None))):
+        # checked before ring_out is named, where two chains that start at
+        # one variable would fail as a duplicate name
+        chains = _chain_tuples(partition, I.n)
+        if not all(chains):
+            raise InputError("empty chain")
+    elif partition in (None, "min"):
+        chains = min_chain_partition(poset)
     elif partition == "singleton":
-        partition = singleton_partition(poset)
-    elif not isinstance(partition, ChainPartition):
+        chains = singleton_partition(poset)
+    else:
         raise InputError(f"bad partition {partition!r}")
-    chains = partition.chains
     flat = [i for c in chains for i in c]
-    # checked here as well as in Depolarization: two chains that start at
-    # one variable would otherwise fail as a duplicate name in ring_out
-    if len(set(flat)) != len(flat):
-        raise InputError("chains overlap")
     if set(flat) != set(poset.elements):
         raise InputError("chains must cover exactly the support of the ideal")
     lens = np.array([len(c) for c in chains])
@@ -232,10 +204,7 @@ def validate_depolarization(I, D):
         return False
     if D.ideal.is_zero:
         return True
-    if len(D.chains) != D.ideal.n:
-        return False
-    mu = D.ideal.lcm_exponent()
-    if any(m > len(c) for m, c in zip(mu, D.chains)):
+    if D.misfit(D.ideal.lcm_exponent()):
         return False
     # D's constructor checked that the chains are disjoint and in I's ring
     flat = [i for c in D.chains for i in c]

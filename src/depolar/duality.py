@@ -41,12 +41,10 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
         raise InputError("cannot expand the zero ideal")
     if not isinstance(D, Depolarization):
         raise InputError("the variable map must be a Depolarization")
-    if len(D.chains) != Jdual.n:
-        raise InputError("bijection arity mismatch: one chain per variable")
     mu = check_exponent(mu, Jdual.n)
-    for m, c in zip(mu, D.chains):
-        if m > len(c):
-            raise InputError("bijection arity mismatch: chain shorter than mu")
+    misfit = D.misfit(mu)
+    if misfit:
+        raise InputError(f"bijection arity mismatch: {misfit}")
     G = np.array(Jdual.gens, dtype=np.int64)
     top = np.array(mu, dtype=np.int64)
     over = (G > top).any(axis=1)
@@ -92,7 +90,8 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
             for k, i in enumerate(cols):
                 out[arange, slot[i][part[:, k]]] = 1
             rows.extend(map(tuple, out.tolist()))
-    return MonomialIdeal(D.source_ring, sorted(rows))
+    # rows of two supports differ; the survivors of one are distinct, minimal
+    return MonomialIdeal._trusted(D.source_ring, tuple(sorted(rows)))
 
 
 def _fiber_union(own, top, cap, dtype):

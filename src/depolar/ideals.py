@@ -67,18 +67,6 @@ def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def support(m):
-    return tuple(i for i, e in enumerate(m) if e > 0)
-
-
 def total_degree(m):
     return sum(m)
 

@@ -18,14 +18,28 @@ from .hypergraph import bits_of
 from .ideals import InputError, MonomialIdeal, Ring
 
 
+def _chain_tuples(chains, n):
+    """chains as tuples of variable indices, checked disjoint and inside
+    range(n): InputError if not."""
+    try:
+        chains = tuple(tuple(map(operator.index, c)) for c in chains)
+    except TypeError:
+        raise InputError("chains must list variable indices") from None
+    flat = set(itertools.chain.from_iterable(chains))
+    if len(flat) != sum(map(len, chains)):
+        raise InputError("chains overlap")
+    if flat and not 0 <= min(flat) <= max(flat) < n:
+        raise InputError("a chain leaves the source ring")
+    return chains
+
+
 class Depolarization:
     """A depolarized ideal plus the chain bijection back to source variables.
 
     chains[c][j-1] is the source variable playing the j-th copy of the c-th
     depolarized variable.  The constructor checks that the chains are
     disjoint sequences of variables of the source ring, and raises
-    InputError if not.  It does not check the chain count or lengths
-    against the ideal: validate_depolarization and repolarize_dual do.
+    InputError if not; misfit tells whether they fit an lcm.
     """
 
     __slots__ = ("ideal", "chains", "source_ring")
@@ -34,18 +48,18 @@ class Depolarization:
         if not isinstance(ideal, MonomialIdeal) \
                 or not isinstance(source_ring, Ring):
             raise InputError("a Depolarization maps an ideal to a Ring")
-        try:
-            chains = tuple(tuple(map(operator.index, c)) for c in chains)
-        except TypeError:
-            raise InputError("chains must list variable indices") from None
-        flat = set(itertools.chain.from_iterable(chains))
-        if len(flat) != sum(map(len, chains)):
-            raise InputError("chains overlap")
-        if flat and not 0 <= min(flat) <= max(flat) < source_ring.n:
-            raise InputError("a chain leaves the source ring")
         self.ideal = ideal
-        self.chains = chains
+        self.chains = _chain_tuples(chains, source_ring.n)
         self.source_ring = source_ring
+
+    def misfit(self, mu):
+        """Why the chains cannot carry exponents up to mu, or None: they
+        need one chain per entry of mu, chain i at least mu_i long."""
+        if len(self.chains) != len(mu):
+            return "one chain per variable"
+        if any(m > len(c) for m, c in zip(mu, self.chains)):
+            return "chain shorter than mu"
+        return None
 
     def to_dict(self):
         return {"source": list(self.source_ring.variables),

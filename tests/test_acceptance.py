@@ -10,8 +10,8 @@ import time
 from math import comb
 
 import oracles
-from depolar import (ChainPartition, MonomialIdeal, Ring, depolarize,
-                     polarize_ideal, support_sets, validate_depolarization)
+from depolar import (MonomialIdeal, Ring, depolarize, polarize_ideal,
+                     support_sets, validate_depolarization)
 from depolar.bench import run_cell
 from depolar.complexes import (SimplicialComplex, alexander_dual_complex,
                                complex_of_squarefree_ideal,
@@ -61,9 +61,9 @@ def test_criterion_1_worked_examples():
         1: [1, 2, 4], 2: [1, 2, 4], 3: [1, 2, 3, 4], 4: [4],
         5: [1, 2, 4, 5, 6, 7, 8, 10], 6: [1, 2, 4, 5, 6, 7, 8, 10],
         7: [7, 8], 8: [7, 8], 9: [7, 8, 9], 10: [7, 8, 10]}
-    D1 = depolarize(P, ChainPartition([(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,)]))
+    D1 = depolarize(P, [(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,)])
     assert set(D1.ideal.gens) == {(4, 0, 0), (1, 2, 1), (3, 5, 0), (0, 3, 1)}
-    D2 = depolarize(P, ChainPartition([(3, 0, 1, 2), (9, 4, 5), (6, 7), (8,)]))
+    D2 = depolarize(P, [(3, 0, 1, 2), (9, 4, 5), (6, 7), (8,)])
     assert set(D2.ideal.gens) == {(4, 0, 0, 0), (1, 0, 2, 1),
                                   (3, 3, 2, 0), (0, 1, 2, 1)}
     for D in (D1, D2):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from depolar import cli
+from depolar import MonomialIdeal, cli, depolarize, polarize_ideal
 
 
 def xyz_dict():
@@ -66,9 +66,11 @@ def test_polarize_with_map(tmp_path, capsys):
     assert len(P["variables"]) == 10
     assert len(P["generators"]) == 4
     pmap = json.loads(mapfile.read_text())
-    assert pmap["source"] == ["x", "y", "z"]
-    assert pmap["target"] == P["variables"]
-    assert [len(b) for b in pmap["blocks"]] == [4, 3, 3]
+    assert pmap == polarize_ideal(MonomialIdeal.from_dict(xyz_dict()))[1] \
+        .to_dict()
+    assert pmap["source"] == P["variables"]
+    assert pmap["variables"] == ["x", "y", "z"]
+    assert [len(c) for c in pmap["chains"]] == [4, 3, 3]
 
 
 def test_depolarize_roundtrip(tmp_path, capsys):
@@ -79,9 +81,10 @@ def test_depolarize_roundtrip(tmp_path, capsys):
     small = json.loads(out)
     assert len(small["variables"]) == 3
     assert len(small["generators"]) == 4
-    chains = json.loads(mapfile.read_text())
-    assert len(chains) == 3
-    assert sum(len(c) for c in chains) == 10
+    dmap = json.loads(mapfile.read_text())
+    assert dmap == depolarize(MonomialIdeal.from_dict(xyz_dict())).to_dict()
+    assert dmap["variables"] == small["variables"]
+    assert len(dmap["source"]) == sum(len(c) for c in dmap["chains"]) == 10
     out = run_ok(capsys, ["depolarize", "--in", src,
                           "--partition", "singleton"])
     assert len(json.loads(out)["variables"]) == 10

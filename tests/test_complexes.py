@@ -121,6 +121,10 @@ def test_facet_complement_ideal_golden():
         facet_complement_ideal(cx_of(2, [[1, 2]]))
     with pytest.raises(InputError):
         facet_complement_ideal(cx_of(2, [[]]))
+    # the constructor trusts that facets form an antichain; a full facet
+    # beside another must still not become a zero row
+    with pytest.raises(InputError):
+        facet_complement_ideal(SimplicialComplex(("a", "b"), (1, 3)))
 
 
 def test_facet_complement_complex_inverts_facet_ideal(rng):

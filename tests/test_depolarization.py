@@ -3,15 +3,15 @@ import inspect
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 import oracles
-from depolar import (ChainPartition, Depolarization, InputError,
-                     MonomialIdeal, Ring, depolarize, min_chain_partition,
-                     ordered_support_poset, polarize_ideal,
-                     singleton_partition, support_sets,
+from depolar import (Depolarization, InputError, MonomialIdeal, Ring,
+                     depolarize, min_chain_partition, ordered_support_poset,
+                     polarize_ideal, singleton_partition, support_sets,
                      validate_depolarization)
 from depolar import depolarization
 from depolar.duality import alexander_dual_ideal, repolarize_dual
@@ -25,10 +25,6 @@ EX_GENS = [
     (1, 1, 0, 1, 1, 1, 1, 1, 0, 1),
     (0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
 ]
-
-
-def chain_partitions(poset):
-    return [ChainPartition(p) for p in oracles.chain_partitions(poset)]
 
 
 def ex_ideal():
@@ -73,10 +69,10 @@ def test_min_chain_partition_golden():
     cp = min_chain_partition(poset)
     # width of this poset is 3 (max antichain {x3, x9, x10} up to ties)
     assert oracles.max_antichain(poset.elements, poset.precedes) == 3
-    assert len(cp.chains) == 3
-    covered = sorted(i for c in cp.chains for i in c)
+    assert len(cp) == 3
+    covered = sorted(i for c in cp for i in c)
     assert covered == list(range(10))
-    for c in cp.chains:
+    for c in cp:
         assert poset.is_chain(c)
     again = min_chain_partition(ordered_support_poset(ex_ideal()))
     assert again == cp
@@ -93,22 +89,22 @@ def test_min_chain_partition_matches_width(rng):
                                     sorted(gens))
         poset = ordered_support_poset(I)
         cp = min_chain_partition(poset)
-        assert {i for c in cp.chains for i in c} == set(poset.elements)
-        for c in cp.chains:
+        assert {i for c in cp for i in c} == set(poset.elements)
+        for c in cp:
             assert poset.is_chain(c)
         width = oracles.max_antichain(poset.elements, poset.precedes)
-        assert len(cp.chains) == width
+        assert len(cp) == width
 
 
 def test_chain_partitions_brute_force():
     I = MonomialIdeal.from_gens(
         Ring(["a", "b", "c"]), [(1, 1, 0), (0, 1, 1)])
     poset = ordered_support_poset(I)
-    parts = chain_partitions(poset)
+    parts = oracles.chain_partitions(poset)
     assert len(set(parts)) == len(parts)
-    best = min(len(p.chains) for p in parts)
-    assert best == len(min_chain_partition(poset).chains)
-    canon = {frozenset(map(frozenset, p.chains)) for p in parts}
+    best = min(len(p) for p in parts)
+    assert best == len(min_chain_partition(poset))
+    canon = {frozenset(map(frozenset, p)) for p in parts}
     assert len(canon) == len(parts)
     # by hand: {b<a, c}, {b<c, a}, and all singletons
     assert canon == {
@@ -116,18 +112,18 @@ def test_chain_partitions_brute_force():
         frozenset({frozenset({1, 2}), frozenset({0})}),
         frozenset({frozenset({0}), frozenset({1}), frozenset({2})}),
     }
-    sing = frozenset(map(frozenset, singleton_partition(poset).chains))
+    sing = frozenset(map(frozenset, singleton_partition(poset)))
     assert sing in canon
 
 
 def test_depolarize_golden_partitions():
     I = ex_ideal()
-    p1 = ChainPartition([(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,)])
+    p1 = [(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,)]
     D1 = depolarize(I, p1)
     assert D1.ideal.ring.variables == ("x4", "x7", "x9")
     assert set(D1.ideal.gens) == {(4, 0, 0), (1, 2, 1), (3, 5, 0), (0, 3, 1)}
 
-    p2 = ChainPartition([(3, 0, 1, 2), (9, 4, 5), (6, 7), (8,)])
+    p2 = [(3, 0, 1, 2), (9, 4, 5), (6, 7), (8,)]
     D2 = depolarize(I, p2)
     assert D2.ideal.ring.variables == ("x4", "x10", "x7", "x9")
     assert set(D2.ideal.gens) == {(4, 0, 0, 0), (1, 0, 2, 1),
@@ -145,6 +141,8 @@ def test_depolarize_default_is_minimum():
     S = depolarize(I, "singleton")
     assert S.ideal.n == 10
     assert set(S.ideal.gens) == set(I.gens)
+    # any sequence of index sequences is a partition, a numpy array too
+    assert depolarize(I, np.array(S.chains)).chains == S.chains
 
 
 def test_depolarize_polarizes_first():
@@ -161,19 +159,24 @@ def test_depolarize_polarizes_first():
 def test_depolarize_rejects_bad_partitions():
     I = ex_ideal()
     poset = ordered_support_poset(I)
-    with pytest.raises(InputError):
-        depolarize(I, ChainPartition([(0, 3)]))  # wrong order, bad cover
-    with pytest.raises(InputError):
-        depolarize(I, ChainPartition([tuple(poset.elements)]))
-    with pytest.raises(InputError):
-        depolarize(I, "frobnicate")
-    with pytest.raises(InputError):
-        ChainPartition([()])
-    # the chains ascend and cover {x, y}, but they share a variable
+    bad = [([(0, 3)], "chains must cover exactly the support"),
+           ([(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,), ()], "empty chain"),
+           ([(3, 0, 1, 2), (6, 7, 9, 4, 5, 1), (8,)], "chains overlap"),
+           ([tuple(poset.elements)], r"not an ascending chain: \[0, 1,"),
+           ([(3, 0, 1, 2), (6, 7, 9, 4, 5), (8, 10)],
+            "a chain leaves the source ring"),
+           ([(3, 0, 1, 2), (6, 7, 9, 4, 5), (8.0,)],
+            "chains must list variable indices"),
+           ("frobnicate", "bad partition 'frobnicate'")]
+    for partition, message in bad:
+        with pytest.raises(InputError, match=message):
+            depolarize(I, partition)
+    # the chains ascend and cover {x, y}, but they share a variable; one
+    # that shares its first variable must not fail as a duplicate name
     xy = MonomialIdeal.from_gens(Ring(["x", "y"]), [(1, 1)])
     for chains in ([(0, 1), (1,)], [(0, 1), (0,)]):
-        with pytest.raises(InputError, match="overlap"):
-            depolarize(xy, ChainPartition(chains))
+        with pytest.raises(InputError, match="chains overlap"):
+            depolarize(xy, chains)
     with pytest.raises(InputError):
         depolarize(MonomialIdeal(Ring(["x"]), ()))
 
@@ -212,9 +215,11 @@ def test_depolarization_checks_its_chains():
     # repolarize_dual needs one chain per variable, and mu within the chains
     _, D = polarize_ideal(J)
     Jd = alexander_dual_ideal(J)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="bijection arity mismatch: "
+                                         "one chain per variable$"):
         repolarize_dual(Jd, (2, 1), Depolarization(J, D.chains[:1], I.ring))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="bijection arity mismatch: "
+                                         "chain shorter than mu$"):
         repolarize_dual(Jd, (3, 1), D)
     assert repolarize_dual(Jd, (2, 1), D) == alexander_dual_ideal(I)
 
@@ -225,9 +230,8 @@ def test_non_prefix_chain_rejected():
     I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),
                                 [(1, 1, 0), (0, 1, 1)])
     poset = ordered_support_poset(I)
-    chains = [c for c in chain_partitions(poset)]
     got = set()
-    for cp in chains:
+    for cp in oracles.chain_partitions(poset):
         try:
             D = depolarize(I, cp)
             assert validate_depolarization(I, D)
@@ -247,7 +251,7 @@ def test_every_partition_roundtrips(rng):
         I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]),
                                     sorted(gens))
         poset = ordered_support_poset(I)
-        for cp in chain_partitions(poset):
+        for cp in oracles.chain_partitions(poset):
             try:
                 D = depolarize(I, cp)
             except InputError:
@@ -273,21 +277,13 @@ def test_accepted_user_partitions_depolarize(rng):
                                  rng.randint(0, len(order) - 1)))
         chains = [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)])]
         try:
-            D = depolarize(I, ChainPartition(chains))
+            D = depolarize(I, chains)
         except InputError:
             continue
         assert validate_depolarization(I, D)
         accepted += 1
         longest = max(longest, max(map(len, chains)))
     assert accepted > 100 and longest >= 3
-
-
-def test_partition_dict_roundtrip():
-    ring = Ring(["x", "y", "z"])
-    cp = ChainPartition([(2, 0), (1,)])
-    assert ChainPartition.from_dict(ring, cp.to_dict(ring)) == cp
-    with pytest.raises(InputError):
-        ChainPartition.from_dict(ring, {})
 
 
 @st.composite
@@ -314,13 +310,13 @@ def test_min_chain_partition_of_polarizations(P):
     below = {(a, b): poset.precedes(a, b)
              for a in poset.elements for b in poset.elements}
     cp = min_chain_partition(poset)
-    assert len(cp.chains) == oracles.max_antichain(
+    assert len(cp) == oracles.max_antichain(
         poset.elements, lambda a, b: below[a, b])
-    assert sorted(i for c in cp.chains for i in c) == list(poset.elements)
-    for c in cp.chains:
+    assert sorted(i for c in cp for i in c) == list(poset.elements)
+    for c in cp:
         assert poset.is_chain(c)
     assert min_chain_partition(ordered_support_poset(P)) == cp
-    assert depolarize(P).chains == cp.chains
+    assert depolarize(P).chains == cp
 
 
 def test_long_chain_depolarizes_fast_without_recursion():

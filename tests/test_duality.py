@@ -11,6 +11,7 @@ import oracles
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.duality import (alexander_dual_ideal, repolarize_dual,
                              dual_complex_via_depolarization)
+import depolar
 from depolar import hypergraph
 from depolar.polarization import polarize_ideal
 from depolar.depolarization import depolarize
@@ -361,14 +362,20 @@ def test_divisibility_has_one_kernel():
 
 
 def test_polarization_has_one_chain_map():
-    # polarize_ideal and depolarize share one map type and one polarizer;
-    # the per-direction map, its dispatcher and the by-hand helpers stay gone
+    # polarize_ideal and depolarize share one map type, one polarizer, one
+    # check of the chains and one check that they fit an lcm; the
+    # per-direction map, its dispatcher, the by-hand helpers and the
+    # second chain type stay gone
     defined, gone = definitions_and_uses(
-        ("Depolarization", "_polarize_rows"),
-        ("PolarVariableMap", "_blocks_of", "polarize_index", "a_minus"))
+        ("Depolarization", "_polarize_rows", "_chain_tuples", "misfit"),
+        ("PolarVariableMap", "_blocks_of", "polarize_index", "a_minus",
+         "ChainPartition"))
     assert defined == [("polarization.py", "Depolarization"),
-                       ("polarization.py", "_polarize_rows")]
+                       ("polarization.py", "_chain_tuples"),
+                       ("polarization.py", "_polarize_rows"),
+                       ("polarization.py", "misfit")]
     assert gone == []
+    assert "ChainPartition" not in depolar.__all__
 
 
 DUAL_FACETS_OF_EXAMPLE = [

@@ -1,10 +1,10 @@
 import pytest
 
 import oracles
-from depolar import (ChainPartition, InputError, MonomialIdeal, Ring,
-                     alexander_dual_ideal, depolarize, expanded_koszul,
-                     koszul_complex, polarize_ideal, repolarize_dual,
-                     validate_depolarization, verify_polar_koszul_iso)
+from depolar import (InputError, MonomialIdeal, Ring, alexander_dual_ideal,
+                     depolarize, expanded_koszul, koszul_complex,
+                     polarize_ideal, repolarize_dual, validate_depolarization,
+                     verify_polar_koszul_iso)
 from depolar.hypergraph import bits_of
 from depolar.polarization import block_names
 
@@ -136,7 +136,7 @@ def test_polarize_ideal_gives_the_chain_map(rng):
         assert repolarize_dual(alexander_dual_ideal(J), J.lcm_exponent(),
                                D) == alexander_dual_ideal(P)
         used = [i for i, c in enumerate(D.chains) if c]
-        back = depolarize(P, ChainPartition([D.chains[i] for i in used]))
+        back = depolarize(P, [D.chains[i] for i in used])
         assert back.chains == tuple(D.chains[i] for i in used)
         assert back.ideal.gens == tuple(tuple(g[i] for i in used)
                                         for g in J.gens)

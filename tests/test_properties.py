@@ -140,6 +140,9 @@ def check_repolarize_dual(case):
     assert sorted((frozenset(i for i, e in enumerate(g) if e)
                    for g in got.gens), key=oracles.set_key) \
         == oracles.repolarized_dual(Jdual.gens, mu, D.chains)
+    # the result is built unchecked: strictly lex sorted, an antichain
+    assert all(a < b for a, b in zip(got.gens, got.gens[1:]))
+    assert oracles.minimal_elements(got.gens) == list(got.gens)
 
 
 @given(st.randoms(use_true_random=True))
