@@ -11,54 +11,74 @@ import itertools
 import numpy as np
 
 from .hypergraph import (alexander_dual_ideal, bits_of, from_words,
-                         maximal_masks, rows_to_words)
+                         maximal_masks, rows_to_words, to_words)
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, Ring,
                      check_exponent)
 
 DEFAULT_FACE_CAP = 2 ** 22
 
 
+def _checked(vertices, facets):
+    """vertices and facets as tuples, checked: distinct valid vertex names,
+    and facet masks strictly ascending inside the vertex set."""
+    vertices = tuple(vertices)
+    if vertices:  # the empty ambient set is legal (span-zero expansions)
+        Ring(vertices)
+    facets = tuple(int(f) for f in facets)
+    top = 1 << len(vertices)
+    for f in facets:
+        if not 0 <= f < top:
+            raise InputError("facet mask out of range")
+    if any(facets[i] >= facets[i + 1] for i in range(len(facets) - 1)):
+        raise InputError("facet masks must be strictly ascending")
+    return vertices, facets
+
+
 class SimplicialComplex:
     """Facets as sorted bitmasks over an ambient vertex list.
 
-    The constructor trusts that facets form an antichain; use normalize()
-    or from_faces() for raw input.
+    The constructor checks that the facets form an antichain; use
+    normalize() or from_faces() for raw input.
     """
 
     __slots__ = ("vertices", "facets")
 
     def __init__(self, vertices, facets):
-        vertices = tuple(vertices)
-        if vertices:  # the empty ambient set is legal (span-zero expansions)
-            Ring(vertices)
-        facets = tuple(int(f) for f in facets)
-        top = 1 << len(vertices)
-        for f in facets:
-            if not 0 <= f < top:
-                raise InputError("facet mask out of range")
-        if any(facets[i] >= facets[i + 1] for i in range(len(facets) - 1)):
-            raise InputError("facet masks must be strictly ascending")
+        vertices, facets = _checked(vertices, facets)
+        if len(maximal_masks(facets, len(vertices))) != len(facets):
+            raise InputError("facets must form an antichain")
         self.vertices = vertices
         self.facets = facets
 
     @classmethod
+    def _trusted(cls, vertices, facets):
+        """The complex of facets, a strictly ascending tuple of pairwise
+        incomparable masks over the tuple vertices, taken unchecked: for
+        masks a caller has just built that way."""
+        cx = cls.__new__(cls)
+        cx.vertices = vertices
+        cx.facets = facets
+        return cx
+
+    @classmethod
     def normalize(cls, vertices, masks):
-        return cls(vertices, maximal_masks(masks, len(tuple(vertices))))
+        vertices = tuple(vertices)
+        return cls._trusted(*_checked(
+            vertices, maximal_masks(masks, len(vertices))))
 
     @classmethod
     def from_faces(cls, vertices, faces):
         """Build from faces given as collections of vertex names."""
         vertices = tuple(vertices)
         index = {v: i for i, v in enumerate(vertices)}
-        masks = []
-        for face in faces:
-            m = 0
+        faces = list(faces)
+        rows = np.zeros((len(faces), len(vertices)), dtype=bool)
+        for row, face in zip(rows, faces):
             for name in face:
                 if name not in index:
                     raise InputError(f"unknown vertex {name!r}")
-                m |= 1 << index[name]
-            masks.append(m)
-        return cls.normalize(vertices, masks)
+                row[index[name]] = True
+        return cls.normalize(vertices, from_words(rows_to_words(rows)))
 
     @property
     def n(self):
@@ -101,7 +121,7 @@ class SimplicialComplex:
         used = 0
         for f in self.facets:
             used |= f
-        return [self.vertices[i] for i in range(self.n) if not used >> i & 1]
+        return self.names_of(((1 << self.n) - 1) ^ used)
 
     def faces_by_dim(self, cap=DEFAULT_FACE_CAP):
         """All faces grouped by dimension, each group sorted by mask value."""
@@ -169,7 +189,7 @@ def koszul_complex(I, mu=None):
     if mu is not None:
         mu = check_exponent(mu, I.n)
     if I.is_zero:
-        return SimplicialComplex(I.ring.variables, ())
+        return SimplicialComplex._trusted(I.ring.variables, ())
     if mu is None:
         mu = I.lcm_exponent()
     _, rows = koszul_rows(np.array(I.gens, dtype=np.int64),
@@ -185,28 +205,31 @@ def facet_complement_ideal(cx):
     full = (1 << cx.n) - 1
     if cx.facets[-1] == full:
         raise InputError("the full simplex gives the unit ideal")
-    gens = []
-    for f in cx.facets:
-        m = full ^ f
-        gens.append(tuple((m >> i) & 1 for i in range(cx.n)))
-    # no facet is full, so no row is zero; antichain facets give minimal rows
-    return MonomialIdeal._trusted(Ring(cx.vertices), tuple(sorted(gens)))
+    words = to_words([full ^ f for f in cx.facets], max(1, -(-cx.n // 64)))
+    # no facet is full, so no mask is zero; antichain facets give minimal masks
+    return MonomialIdeal._of_words(Ring(cx.vertices), words)
 
 
 def facet_complement_complex(I):
     """The complex whose facets are the complements of the generator
     supports of the squarefree ideal I: the inverse of
     facet_complement_ideal.  The zero ideal gives the void complex."""
-    try:
-        # 0/1 exponents, so each fits one byte; bytes() refuses one past 255
-        rows = np.frombuffer(bytes(itertools.chain.from_iterable(I.gens)),
-                             dtype=np.uint8)
-        if (rows > 1).any():
-            raise ValueError
-    except ValueError:
-        raise InputError("facet_complement_complex needs a squarefree ideal") from None
-    facets = from_words(rows_to_words(rows.reshape(-1, I.n) == 0))
-    return SimplicialComplex(I.ring.variables, sorted(facets))
+    words = I.words
+    if words is None:
+        try:
+            # 0/1 exponents, so each fits one byte; bytes() refuses one past 255
+            rows = np.frombuffer(bytes(itertools.chain.from_iterable(I.gens)),
+                                 dtype=np.uint8)
+            if (rows > 1).any():
+                raise ValueError
+        except ValueError:
+            raise InputError("facet_complement_complex needs a squarefree ideal") from None
+        words = rows_to_words(rows.reshape(-1, I.n))
+    facets = to_words([(1 << I.n) - 1], len(words)) ^ words
+    # ascending as integers: the top word is the first key; the complements
+    # of an antichain form one
+    return SimplicialComplex._trusted(
+        I.ring.variables, tuple(from_words(facets[:, np.lexsort(facets)])))
 
 
 def stanley_reisner_ideal(cx, cap=None):
@@ -227,7 +250,7 @@ def complex_of_squarefree_ideal(I, cap=None):
     if not I.is_squarefree():
         raise InputError("complex_of_squarefree_ideal needs a squarefree ideal")
     if I.is_zero:
-        return SimplicialComplex(I.ring.variables, ((1 << I.n) - 1,))
+        return SimplicialComplex._trusted(I.ring.variables, ((1 << I.n) - 1,))
     return facet_complement_complex(alexander_dual_ideal(I, cap=cap))
 
 
@@ -243,7 +266,8 @@ def alexander_dual_complex(cx, cap=None):
     if cx.kind == "void":
         raise InputError("the void complex has no Alexander dual")
     if cx.kind == "irrelevant":
-        full = (1 << cx.n) - 1
-        return SimplicialComplex(cx.vertices,
-                                 sorted(full ^ (1 << i) for i in range(cx.n)))
+        # the complements of the single vertices; vertex 0's is the largest
+        rows = ~np.eye(cx.n, dtype=bool)
+        return SimplicialComplex._trusted(
+            cx.vertices, tuple(from_words(rows_to_words(rows))[::-1]))
     return facet_complement_complex(stanley_reisner_ideal(cx, cap))

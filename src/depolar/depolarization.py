@@ -153,10 +153,10 @@ def depolarize(I, partition=None):
     """
     if I.is_zero:
         raise InputError("cannot depolarize the zero ideal")
-    G = np.array(I.gens, dtype=np.int64)
+    G = I._exponents()
     if (G > 1).any():
         I, _ = polarize_ideal(I)
-        G = np.array(I.gens, dtype=np.int64)
+        G = I._exponents()
     poset = SupportPoset(I.ring, G > 0)
     if not isinstance(partition, (str, type(None))):
         # checked before ring_out is named, where two chains that start at
@@ -193,7 +193,8 @@ def depolarize(I, partition=None):
     # nonzero, distinct and minimal
     ideal = MonomialIdeal._trusted(ring_out,
                                    tuple(sorted(map(tuple, k.tolist()))))
-    return Depolarization(ideal, chains, I.ring)
+    # the chains are checked above or built from the poset
+    return Depolarization._trusted(ideal, chains, I.ring)
 
 
 def validate_depolarization(I, D):

@@ -54,9 +54,6 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     supports, group = np.unique(G > 0, axis=0, return_inverse=True)
     group = group.reshape(-1)
     dtype = np.min_scalar_type(max(mu))
-    # slot[i][c] names the polarized variable of exponent c on variable i
-    slot = [np.array([0] + list(c[:m])[::-1], dtype=np.int64)
-            for c, m in zip(D.chains, mu)]
     # variable i gets one slot per level 1..mu_i, and a row sets each block
     # up to its level, so divisibility is containment of masks; the words
     # of level v of variable i are column base[i] + v of prefix
@@ -65,9 +62,14 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     levels = np.arange(len(first)) - np.repeat(base, top + 1)
     prefix = prefix_words(first[:, None], (first + levels)[:, None],
                           max(1, -(-int(top.sum()) // 64)))
-    # output rows go out in chunks of about 2^14 entries, so the lists
-    # tolist() makes stay small beside the tuples that are kept
-    step = max(1, 2 ** 14 // D.source_ring.n)
+    # column base[i] + c of named sets the bit of the polarized variable of
+    # exponent c on variable i, and no bit at c = 0; an output row is the
+    # OR of the columns of its exponents
+    var = np.array([v for c, m in zip(D.chains, mu)
+                    for v in [0] + list(c[:m])[::-1]], dtype=np.int64)
+    named = prefix_words(var[:, None], (var + (levels > 0))[:, None],
+                         max(1, -(-D.source_ring.n // 64)))
+    step = 2 ** 14  # rows per pass; bounds the (W, rows, |S|) temporaries
     rows = []
     for s, S in enumerate(supports):
         cols = np.flatnonzero(S)
@@ -80,18 +82,14 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
         if lower.size:
             lower = np.bitwise_or.reduce(prefix[:, base[cols] + lower], axis=2)
         for lo in range(0, len(c), step):
-            part = c[lo:lo + step]
+            part = base[cols] + c[lo:lo + step]
             if lower.size:
-                words = np.bitwise_or.reduce(prefix[:, base[cols] + part],
-                                             axis=2)
-                part = part[~_subsets(words, lower)]
-            out = np.zeros((len(part), D.source_ring.n), dtype=np.uint8)
-            arange = np.arange(len(part))
-            for k, i in enumerate(cols):
-                out[arange, slot[i][part[:, k]]] = 1
-            rows.extend(map(tuple, out.tolist()))
+                held = np.bitwise_or.reduce(prefix[:, part], axis=2)
+                part = part[~_subsets(held, lower)]
+            rows.append(np.bitwise_or.reduce(named[:, part], axis=2))
     # rows of two supports differ; the survivors of one are distinct, minimal
-    return MonomialIdeal._trusted(D.source_ring, tuple(sorted(rows)))
+    return MonomialIdeal._of_words(D.source_ring,
+                                   np.concatenate(rows, axis=1))
 
 
 def _fiber_union(own, top, cap, dtype):
@@ -148,6 +146,7 @@ def dual_complex_via_depolarization(cx, partition=None,
     boxes = np.where(G > 0, np.array(mu) + 1 - G, 1)
     report["fiber_elements"] = sum(map(math.prod, boxes.tolist()))
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
-    report["gens_final"] = len(final.gens)
+    # repolarize_dual builds its result from words; gens would decode them
+    report["gens_final"] = final.words.shape[1]
     dual = clock("complements", facet_complement_complex, final)
     return dual, report

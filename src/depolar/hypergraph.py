@@ -96,6 +96,13 @@ def rows_to_words(rows):
     return packed.view("<u8").astype(np.uint64).T
 
 
+def words_to_rows(arr, n):
+    """(N, n) uint8 0/1 rows of the columns of a (W, N) array, the inverse
+    of rows_to_words: slot s is column s."""
+    packed = np.ascontiguousarray(arr.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
+
+
 def level_slots(L, used):
     """Slot layout of the levels L, an (N, n) array of nonnegative ints, at
     the used entries: column i gets one slot per distinct level it takes
@@ -340,7 +347,8 @@ def alexander_dual_ideal(I, a=None, cap=None):
     """
     if I.is_zero:
         raise InputError("the zero ideal dualizes to the unit ideal")
-    mu = I.lcm_exponent()
+    G = I._exponents()
+    mu = tuple(G.max(axis=0).tolist())
     if a is None:
         a = mu
     else:
@@ -350,7 +358,6 @@ def alexander_dual_ideal(I, a=None, cap=None):
     # colex order; on squarefree generators it is the ascending mask order,
     # so once every edge inside the first k vertices is in, the state is the
     # transversal set of those edges, never larger than the final one
-    G = np.array(I.gens, dtype=np.int64)
     G = G[np.lexsort(G.T)]
     slot, level, lo, hi = level_slots(np.array(a, dtype=np.int64) + 1 - G,
                                       G > 0)

@@ -123,10 +123,13 @@ class MonomialIdeal:
     """A monomial ideal held by its minimal generating set.
 
     gens is a lex-sorted tuple of exponent tuples.  The zero ideal has no
-    generators; the unit ideal is rejected.
+    generators; the unit ideal is rejected.  An ideal the package builds
+    from squarefree bitsets keeps them as words, a (W, N) uint64 array in
+    the layout of hypergraph (variable i is slot i), and decodes gens from
+    them when gens is first read; words is None on every other ideal.
     """
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "_gens", "words")
 
     def __init__(self, ring, gens):
         if not isinstance(ring, Ring):
@@ -140,7 +143,8 @@ class MonomialIdeal:
         if any(gens[i] >= gens[i + 1] for i in range(len(gens) - 1)):
             raise InputError("generators must be strictly lex sorted; use from_gens")
         self.ring = ring
-        self.gens = gens
+        self._gens = gens
+        self.words = None
 
     @classmethod
     def _trusted(cls, ring, gens):
@@ -149,8 +153,39 @@ class MonomialIdeal:
         unchecked: for rows a caller has just built that way."""
         ideal = cls.__new__(cls)
         ideal.ring = ring
-        ideal.gens = gens
+        ideal._gens = gens
+        ideal.words = None
         return ideal
+
+    @classmethod
+    def _of_words(cls, ring, words):
+        """The squarefree ideal of the columns of words, a (W, N) uint64
+        array with W = max(1, ceil(n / 64)) of nonzero, pairwise
+        incomparable vertex sets in any order, taken unchecked: for masks
+        a caller has just built that way."""
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal._gens = None
+        ideal.words = words
+        words.flags.writeable = False  # gens, once decoded, must stay true
+        return ideal
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            rows = self._exponents()
+            self._gens = tuple(map(tuple,
+                                   rows[np.lexsort(rows.T[::-1])].tolist()))
+        return self._gens
+
+    def _exponents(self):
+        """(N, n) int64 array of the generators: in the order of gens, or
+        of words when the ideal was built from them."""
+        if self.words is not None:
+            # hypergraph imports this module, so it is imported here
+            from .hypergraph import words_to_rows
+            return words_to_rows(self.words, self.n).astype(np.int64)
+        return np.array(self.gens, dtype=np.int64).reshape(-1, self.n)
 
     @classmethod
     def from_gens(cls, ring, gens):
@@ -163,10 +198,13 @@ class MonomialIdeal:
 
     @property
     def is_zero(self):
+        if self.words is not None:
+            return not self.words.shape[1]
         return not self.gens
 
     def is_squarefree(self):
-        return all(is_squarefree_exponent(g) for g in self.gens)
+        return self.words is not None or all(
+            is_squarefree_exponent(g) for g in self.gens)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal)
@@ -189,6 +227,8 @@ class MonomialIdeal:
     def lcm_exponent(self):
         if self.is_zero:
             raise InputError("the zero ideal has no lcm exponent")
+        if self.words is not None:
+            return tuple(self._exponents().max(axis=0).tolist())
         return tuple(max(col) for col in zip(*self.gens))
 
     def gcd_exponent(self):

@@ -52,6 +52,17 @@ class Depolarization:
         self.chains = _chain_tuples(chains, source_ring.n)
         self.source_ring = source_ring
 
+    @classmethod
+    def _trusted(cls, ideal, chains, source_ring):
+        """The map of chains, a tuple of disjoint tuples of variable indices
+        of source_ring, taken unchecked: for chains a caller has just
+        checked or built that way."""
+        D = cls.__new__(cls)
+        D.ideal = ideal
+        D.chains = chains
+        D.source_ring = source_ring
+        return D
+
     def misfit(self, mu):
         """Why the chains cannot carry exponents up to mu, or None: they
         need one chain per entry of mu, chain i at least mu_i long."""

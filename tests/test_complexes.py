@@ -121,10 +121,27 @@ def test_facet_complement_ideal_golden():
         facet_complement_ideal(cx_of(2, [[1, 2]]))
     with pytest.raises(InputError):
         facet_complement_ideal(cx_of(2, [[]]))
-    # the constructor trusts that facets form an antichain; a full facet
-    # beside another must still not become a zero row
-    with pytest.raises(InputError):
-        facet_complement_ideal(SimplicialComplex(("a", "b"), (1, 3)))
+    # a full facet beside another is no antichain, so no complex holds one
+    with pytest.raises(InputError, match="antichain"):
+        SimplicialComplex(("a", "b"), (1, 3))
+
+
+def test_constructor_rejects_nested_facets():
+    # {a} lies inside {a, b}: the facet complement ideal would have been
+    # the non-minimal <c, b*c>
+    with pytest.raises(InputError, match="antichain"):
+        SimplicialComplex(("a", "b", "c"), (1, 3))
+    verts = [f"v{i}" for i in range(130)]
+    with pytest.raises(InputError, match="antichain"):
+        SimplicialComplex(verts, (1 << 64, 1 << 64 | 1 << 129))
+    with pytest.raises(InputError, match="antichain"):
+        SimplicialComplex(verts, (0, 1))
+    assert SimplicialComplex(verts, (3, 1 << 64 | 1)).facets == (3, 1 << 64 | 1)
+    assert SimplicialComplex(("a",), (0,)).kind == "irrelevant"
+    assert SimplicialComplex(("a",), ()).kind == "void"
+    # normalize and from_faces keep the maximal faces of the same input
+    assert SimplicialComplex.normalize(("a", "b", "c"), (1, 3)).facets == (3,)
+    assert facet_complement_ideal(cx_of(3, [[1], [1, 2]])).gens == ((0, 0, 1),)
 
 
 def test_facet_complement_complex_inverts_facet_ideal(rng):

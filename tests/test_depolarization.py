@@ -181,6 +181,26 @@ def test_depolarize_rejects_bad_partitions():
         depolarize(MonomialIdeal(Ring(["x"]), ()))
 
 
+def test_depolarize_checks_a_partition_once(monkeypatch):
+    from depolar import polarization
+    calls = []
+
+    def counted(chains, n):
+        calls.append(chains)
+        return check(chains, n)
+    check = polarization._chain_tuples
+    monkeypatch.setattr(polarization, "_chain_tuples", counted)
+    monkeypatch.setattr(depolarization, "_chain_tuples", counted)
+    I = ex_ideal()
+    chains = [(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,)]
+    assert depolarize(I, chains).chains == tuple(chains)
+    assert len(calls) == 1
+    # the minimum partition is built from the poset and needs no check
+    assert depolarize(I).chains == min_chain_partition(
+        ordered_support_poset(I))
+    assert len(calls) == 1
+
+
 def test_depolarization_checks_its_chains():
     # chains that overlap or leave the source ring fail when the map is
     # built, so validate_depolarization never indexes past I's ring; a

@@ -15,7 +15,8 @@ import depolar
 from depolar import hypergraph
 from depolar.polarization import polarize_ideal
 from depolar.depolarization import depolarize
-from depolar.complexes import SimplicialComplex, alexander_dual_complex
+from depolar.complexes import (SimplicialComplex, alexander_dual_complex,
+                               facet_complement_ideal)
 
 
 def xyz_ideal():
@@ -263,6 +264,44 @@ def test_repolarize_dual_past_64_slots(rng):
             == oracles.repolarized_dual(Jdual.gens, mu, D.chains)
 
 
+def test_ideals_from_words_equal_ideals_from_tuples(rng):
+    # facet_complement_ideal and repolarize_dual build their results from
+    # words; each must be the ideal from_gens builds of the oracle's rows
+    def agree(got, sets):
+        n = got.n
+        want = MonomialIdeal.from_gens(
+            got.ring, [tuple(int(i in s) for i in range(n)) for s in sets])
+        assert got.words is not None
+        assert got.is_squarefree() and not got.is_zero
+        assert got.lcm_exponent() == want.lcm_exponent()
+        assert repr(got) == repr(want)
+        assert hash(got) == hash(want)
+        assert got == want and want == got
+        # the oracle's sets are an antichain, so the rows are one too
+        assert got.gens == want.gens and len(got.gens) == len(sets)
+        assert all(a < b for a, b in zip(got.gens, got.gens[1:]))
+
+    for n in (3, 5, 8, 63, 64, 65, 130):
+        for _ in range(6):
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 5))]
+            cx = SimplicialComplex.normalize([f"v{i}" for i in range(n)],
+                                             masks)
+            if cx.kind != "proper" or cx.is_full_simplex():
+                continue
+            agree(facet_complement_ideal(cx),
+                  [{i for i in range(n) if not f >> i & 1} for f in cx.facets])
+    for _ in range(20):
+        # polarized rings of up to 90 variables, two words past 64
+        n = rng.randint(1, 3)
+        emax = rng.choice((2, 4, 30))
+        J = random_ideal(rng, n, rng.randint(1, 3), emax)
+        for D in (polarize_ideal(J)[1], depolarize(J)):
+            Jdual = alexander_dual_ideal(D.ideal)
+            mu = D.ideal.lcm_exponent()
+            agree(repolarize_dual(Jdual, mu, D),
+                  oracles.repolarized_dual(Jdual.gens, mu, D.chains))
+
+
 def transversals(edges, nverts, cap=None):
     """Minimal transversals as the dual of the squarefree ideal of the edges."""
     ring = Ring([f"v{i}" for i in range(nverts)])
@@ -359,6 +398,55 @@ def test_divisibility_has_one_kernel():
                        ("hypergraph.py", "_subsets"),
                        ("hypergraph.py", "minimal_columns")]
     assert gone == []
+
+
+def bit_loops(tree):
+    """Lines of a tree that pack or unpack bits by hand: a shift whose
+    amount reads a loop variable, or a byte-packing call."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            targets = [node.target]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                               ast.DictComp)):
+            targets = [g.target for g in node.generators]
+        else:
+            if getattr(node, "attr", getattr(node, "id", None)) in (
+                    "packbits", "unpackbits", "from_bytes", "to_bytes"):
+                found.add(node.lineno)
+            continue
+        bound = {n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)}
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) \
+                    and isinstance(sub.op, (ast.LShift, ast.RShift)) \
+                    and bound & {n.id for n in ast.walk(sub.right)
+                                 if isinstance(n, ast.Name)}:
+                found.add(sub.lineno)
+    return sorted(found)
+
+
+def test_squarefree_rows_have_one_encoder():
+    # squarefree rows pass between the round-trip steps as words, and only
+    # the hypergraph helpers pack rows into words or unpack them: the
+    # modules of the round trip build no mask bit by bit
+    helpers = ("from_words", "rows_to_words", "to_words", "words_to_rows")
+    defined, _ = definitions_and_uses(helpers, ())
+    assert defined == [("hypergraph.py", name) for name in helpers]
+    src = pathlib.Path(hypergraph.__file__).parent
+    for module in ("complexes.py", "duality.py", "ideals.py"):
+        assert bit_loops(ast.parse((src / module).read_text())) == [], module
+
+
+def test_bit_loops_are_found():
+    source = """
+gens = [tuple((m >> i) & 1 for i in range(n)) for m in masks]
+for name in face:
+    m |= 1 << index[name]
+rows = np.unpackbits(packed)
+full = (1 << n) - 1
+"""
+    assert bit_loops(ast.parse(source)) == [2, 4, 5]
 
 
 def test_polarization_has_one_chain_map():

@@ -1,12 +1,15 @@
 """Randomized invariant suites, deterministic via derandomized hypothesis."""
 
+import itertools
+
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from depolar.ideals import Ring, MonomialIdeal
 from depolar.complexes import (SimplicialComplex, koszul_complex,
                                facet_complement_ideal, alexander_dual_complex,
-                               complex_of_squarefree_ideal)
+                               complex_of_squarefree_ideal,
+                               facet_complement_complex)
 from depolar.polarization import (polarize_ideal, expanded_koszul,
                                   verify_polar_koszul_iso)
 from depolar.depolarization import depolarize
@@ -157,13 +160,55 @@ def test_repolarize_dual_drops_rows_of_inner_supports(rnd):
     check_repolarize_dual(repolarize_case(rnd, nested=True))
 
 
+@st.composite
+def wide_complexes(draw):
+    """A random complex on 2-8 core vertices placed anywhere among up to
+    140, so its masks may span three words, with up to two cone vertices
+    (in every facet) and the rest isolated."""
+    n = draw(st.sampled_from([6, 12, 63, 64, 65, 70, 128, 140]))
+    k = draw(st.integers(2, min(8, n)))
+    spots = draw(st.permutations(range(n)))
+    core, cone = spots[:k], spots[k:k + draw(st.integers(0, 2))]
+    faces = draw(st.lists(st.sets(st.integers(0, k - 1), min_size=1,
+                                  max_size=k - 1), min_size=1, max_size=4))
+    apex = sum(1 << v for v in cone)
+    return SimplicialComplex.normalize(
+        [f"v{i}" for i in range(n)],
+        [apex | sum(1 << core[i] for i in f) for f in faces])
+
+
+def check_dual_pair(cx):
+    """The round trip and the direct dual agree on cx, and dualizing the
+    dual again, by the round trip where it applies, gives cx back."""
+    dual, _ = dual_complex_via_depolarization(cx)
+    assert dual == alexander_dual_complex(cx)
+    if dual.kind == "proper" and not dual.is_full_simplex():
+        assert dual_complex_via_depolarization(dual)[0] == cx
+    assert alexander_dual_complex(dual) == cx
+
+
 @given(proper_complexes(max_n=10))
 @RUNS
 def test_pipeline_equals_direct_dual(cx):
-    if cx.is_full_simplex():
-        return
-    dual, _ = dual_complex_via_depolarization(cx)
-    assert dual.facets == alexander_dual_complex(cx).facets
+    if not cx.is_full_simplex():
+        check_dual_pair(cx)
+
+
+@given(wide_complexes())
+@RUNS
+def test_pipeline_dual_of_wide_coned_complexes(cx):
+    check_dual_pair(cx)
+
+
+def test_pipeline_dual_of_polarized_power_complexes():
+    # the complement complexes of the polarizations of m^(3,22) and
+    # m^(2,40): 66 and 80 vertices, two words
+    for n, k in ((3, 22), (2, 40)):
+        P, _ = polarize_ideal(MonomialIdeal.from_gens(
+            Ring([f"x{i}" for i in range(n)]),
+            [tuple(e) for e in itertools.product(range(k + 1), repeat=n)
+             if sum(e) == k]))
+        check_dual_pair(facet_complement_complex(P))
 
 
 @given(ideals(max_n=5, max_gens=4, emax=1))
