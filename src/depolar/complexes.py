@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from .hypergraph import (alexander_dual_ideal, bits_of, from_words,
-                         maximal_masks, rows_to_words, to_words)
+                         is_antichain, maximal_masks, rows_to_words, to_words)
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, Ring,
                      check_exponent)
 
@@ -45,7 +45,8 @@ class SimplicialComplex:
 
     def __init__(self, vertices, facets):
         vertices, facets = _checked(vertices, facets)
-        if len(maximal_masks(facets, len(vertices))) != len(facets):
+        W = max(1, -(-len(vertices) // 64))
+        if not is_antichain(to_words(facets, W)):
             raise InputError("facets must form an antichain")
         self.vertices = vertices
         self.facets = facets

@@ -191,8 +191,8 @@ def depolarize(I, partition=None):
     ring_out = Ring([I.ring.variables[c[0]] for c in chains])
     # polarizing these rows along the chains gives G(I) back, so they are
     # nonzero, distinct and minimal
-    ideal = MonomialIdeal._trusted(ring_out,
-                                   tuple(sorted(map(tuple, k.tolist()))))
+    k = k[np.lexsort(k.T[::-1])]
+    ideal = MonomialIdeal._trusted(ring_out, tuple(map(tuple, k.tolist())))
     # the chains are checked above or built from the poset
     return Depolarization._trusted(ideal, chains, I.ring)
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import _subsets, alexander_dual_ideal, prefix_words
+from .hypergraph import (_subsets, alexander_dual_ideal, prefix_words,
+                         rows_to_words)
 from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -23,19 +24,28 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
 
     Every nu in G(Jdual) expands into its fiber of squarefree monomials,
     one slot j_i <= (mu minus nu)_i per i in supp(nu).  Here a fiber
-    element is written as its exponent c = mu + 1 - j on supp(nu), so the
-    fiber of nu is the box nu <= c <= mu.  The minimal elements of the
-    union are found one support S at a time:
+    element is written as its exponent c = mu + 1 - j on supp(nu), and 0
+    off it, so the fiber of nu is the box nu <= c <= mu.  A row of support
+    S is minimal in the union unless a generator nu' supported strictly
+    inside S divides it, since the row restricted to supp(nu') then lies
+    in the fiber of nu'; rows of one support never nest.
 
-    - the boxes of the generators supported on S are concatenated and
-      duplicate rows dropped (a row shared by two boxes is one monomial);
-    - a row is dropped when a generator nu' supported strictly inside S
-      divides it, since the row restricted to supp(nu') then lies in the
-      fiber of nu'.
+    The generators are taken by support, and consecutive supports form a
+    batch whose summed fiber fits one pass of rows; a support with a
+    larger fiber is a batch on its own, passed over in chunks.  Per batch:
 
-    The survivors are named through the chains of D, a Depolarization from
-    depolarize or polarize_ideal.  cartesian_cap bounds the rows built at
-    once: the summed fiber size of one support.
+    - every box is enumerated, and duplicate rows dropped when a support
+      holds several generators (a row shared by two boxes is one
+      monomial; rows of different supports always differ);
+    - each row is tested against the generators whose support lies
+      strictly inside some support of the batch, on prefix masks with one
+      slot per level up to mu, plus a block that only a generator on
+      fewer variables than the row's support fits;
+    - the survivors are named through the chains of D, a Depolarization
+      from depolarize or polarize_ideal.
+
+    cartesian_cap bounds the summed fiber size of one support, checked for
+    every support before any row is built.
     """
     if Jdual.is_zero:
         raise InputError("cannot expand the zero ideal")
@@ -51,71 +61,89 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     if over.any():
         raise InputError(f"dual generator {Jdual.gens[over.argmax()]} "
                          f"exceeds mu {mu}")
+    n = len(mu)
     supports, group = np.unique(G > 0, axis=0, return_inverse=True)
     group = group.reshape(-1)
+    order = np.argsort(group, kind="stable")
+    G, group = G[order], group[order]
+    dims = np.where(G > 0, top + 1 - G, 1)
+    # Python ints: a product past 2^63 must reach the cap check unwrapped
+    sizes = [math.prod(d) for d in dims.tolist()]
+    totals = [0] * len(supports)
+    for s, size in zip(group.tolist(), sizes):
+        totals[s] += size
+    for total in totals:
+        if total > cartesian_cap:
+            raise ResourceLimit(f"fibers on one support have {total} "
+                                f"elements, cap {cartesian_cap}")
+    step = 2 ** 14  # rows per pass; bounds the (W, rows, n) temporaries
+    cuts, load = [0], 0
+    for s, total in enumerate(totals):
+        if load and load + total > step:
+            cuts.append(s)
+            load = 0
+        load += total
+    cuts.append(len(supports))
+    firsts = np.searchsorted(group, cuts).tolist()
+    sizes = np.array(sizes, dtype=np.int64)
     dtype = np.min_scalar_type(max(mu))
     # variable i gets one slot per level 1..mu_i, and a row sets each block
     # up to its level, so divisibility is containment of masks; the words
-    # of level v of variable i are column base[i] + v of prefix
+    # of level v of variable i are column base[i] + v of prefix.  Block n
+    # holds n - 1 levels: a row of support S sets |S| - 1 of them and a
+    # generator on T sets |T|, so it fits the row only when T is smaller.
+    top = np.append(top, n - 1)
     base = np.cumsum(top + 1) - (top + 1)
     first = np.repeat(np.cumsum(top) - top, top + 1)
     levels = np.arange(len(first)) - np.repeat(base, top + 1)
     prefix = prefix_words(first[:, None], (first + levels)[:, None],
                           max(1, -(-int(top.sum()) // 64)))
+    base, extra = base[:n], base[n]
+
+    def masks(exps, size):
+        return (np.bitwise_or.reduce(prefix[:, base + exps], axis=2)
+                | prefix[:, extra + size])
     # column base[i] + c of named sets the bit of the polarized variable of
     # exponent c on variable i, and no bit at c = 0; an output row is the
     # OR of the columns of its exponents
     var = np.array([v for c, m in zip(D.chains, mu)
                     for v in [0] + list(c[:m])[::-1]], dtype=np.int64)
-    named = prefix_words(var[:, None], (var + (levels > 0))[:, None],
+    named = prefix_words(var[:, None], (var + (levels[:extra] > 0))[:, None],
                          max(1, -(-D.source_ring.n // 64)))
-    step = 2 ** 14  # rows per pass; bounds the (W, rows, |S|) temporaries
+    # support t lies inside support s when ~s lies inside ~t
+    unused = ~rows_to_words(supports)
     rows = []
-    for s, S in enumerate(supports):
-        cols = np.flatnonzero(S)
-        c = _fiber_union(G[group == s][:, cols], top[cols], cartesian_cap,
-                         dtype)
-        # supports strictly inside S
-        inside = ~(supports & ~S).any(axis=1)
-        inside[s] = False
-        lower = G[inside[group]][:, cols]
-        if lower.size:
-            lower = np.bitwise_or.reduce(prefix[:, base[cols] + lower], axis=2)
+    for s0, s1, g0, g1 in zip(cuts, cuts[1:], firsts, firsts[1:]):
+        own, dim, size = G[g0:g1], dims[g0:g1], sizes[g0:g1]
+        end = np.cumsum(size)
+        c = np.empty((end[-1], n), dtype=dtype)
         for lo in range(0, len(c), step):
-            part = base[cols] + c[lo:lo + step]
+            idx = np.arange(lo, min(lo + step, len(c)))
+            owner = np.searchsorted(end, idx, side="right")
+            local = idx - (end - size)[owner]
+            for k in range(n - 1, -1, -1):
+                local, r = np.divmod(local, dim[owner, k])
+                c[lo:lo + step, k] = own[owner, k] + r
+        if g1 - g0 > s1 - s0:
+            c = c[np.lexsort(c.T)]
+            c = c[np.r_[True, (c[1:] != c[:-1]).any(axis=1)]]
+        # cover[t]: the supports of the batch that hold support t, less t
+        # itself; the generators on a covered support are the only ones a
+        # row of the batch can be tested against
+        cover = _subsets(unused, unused[:, s0:s1], np.add.reduce)
+        cover[s0:s1] -= 1
+        lower = G[(cover > 0)[group]]
+        if lower.size:
+            lower = masks(lower, np.count_nonzero(lower, axis=1))
+        for lo in range(0, len(c), step):
+            part = c[lo:lo + step]
             if lower.size:
-                held = np.bitwise_or.reduce(prefix[:, part], axis=2)
+                held = masks(part, np.count_nonzero(part, axis=1) - 1)
                 part = part[~_subsets(held, lower)]
-            rows.append(np.bitwise_or.reduce(named[:, part], axis=2))
+            rows.append(np.bitwise_or.reduce(named[:, base + part], axis=2))
     # rows of two supports differ; the survivors of one are distinct, minimal
     return MonomialIdeal._of_words(D.source_ring,
                                    np.concatenate(rows, axis=1))
-
-
-def _fiber_union(own, top, cap, dtype):
-    """Distinct rows of the boxes own[g] <= c <= top, as dtype."""
-    dims = top - own + 1
-    # Python ints: a product past 2^63 must reach the cap check unwrapped
-    sizes = [math.prod(d) for d in dims.tolist()]
-    total = sum(sizes)
-    if total > cap:
-        raise ResourceLimit(
-            f"fibers on one support have {total} elements, cap {cap}")
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    c = np.empty((total, len(top)), dtype=dtype)
-    step = 2 ** 12  # rows per pass; bounds the int64 index temporaries
-    for lo in range(0, total, step):
-        idx = np.arange(lo, min(lo + step, total))
-        owner = np.searchsorted(ends, idx, side="right")
-        local = idx - starts[owner]
-        for k in range(len(top) - 1, -1, -1):
-            local, r = np.divmod(local, dims[owner, k])
-            c[lo:lo + step, k] = own[owner, k] + r
-    if len(own) > 1:
-        c = c[np.lexsort(c.T)]
-        c = c[np.r_[True, (c[1:] != c[:-1]).any(axis=1)]]
-    return c
 
 
 def dual_complex_via_depolarization(cx, partition=None,

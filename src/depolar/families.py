@@ -4,7 +4,7 @@ import itertools
 import random
 from math import comb
 
-from .ideals import InputError, MonomialIdeal, ResourceLimit, Ring, minimalize
+from .ideals import InputError, MonomialIdeal, ResourceLimit, Ring
 
 DEFAULT_GEN_CAP = 2 ** 22
 
@@ -80,7 +80,7 @@ def gen_random_ideal(n, max_gens, max_exp, seed):
         while not any(row):
             row = tuple(rng.randint(0, max_exp) for _ in range(n))
         gens.append(row)
-    return MonomialIdeal(family_ring(n), minimalize(gens))
+    return MonomialIdeal.from_gens(family_ring(n), gens)
 
 
 FAMILY_BUILDERS = {

@@ -246,6 +246,27 @@ def minimal_columns(arr):
     return arr.compress(keep, axis=1)
 
 
+# words tested in one pass of is_antichain; its temporaries stay near 2 MB
+_ANTICHAIN_PASS = 2 ** 18
+
+
+def is_antichain(arr):
+    """Whether no column of a (W, N) array of distinct bitsets lies inside
+    another.  A proper subset has fewer bits, so each popcount class is
+    tested only against the lighter columns, in passes of at most
+    _ANTICHAIN_PASS words."""
+    weight = sum(_popcount(word).astype(np.int64) for word in arr)
+    order = np.argsort(weight, kind="stable")
+    bounds = (np.flatnonzero(np.diff(weight[order])) + 1).tolist()
+    for lo, hi in zip(bounds, bounds[1:] + [len(order)]):
+        lighter = arr[:, order[:lo]]
+        step = max(1, _ANTICHAIN_PASS // lighter.size)
+        for i in range(lo, hi, step):
+            if _subsets(arr[:, order[i:min(i + step, hi)]], lighter).any():
+                return False
+    return True
+
+
 def minimal_masks(masks):
     """Inclusion-minimal masks from an iterable of ints, sorted ascending."""
     masks = sorted(set(masks))

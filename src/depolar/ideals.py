@@ -5,6 +5,7 @@ minimal generating set G(I), canonically sorted, so equality of ideals is
 equality of the stored tuples.
 """
 
+import itertools
 import operator
 import re
 
@@ -80,16 +81,27 @@ def check_exponent(m, n):
     (numpy ones too), never floats, strings or bools."""
     try:
         m = tuple(m)
-        if any(isinstance(e, bool) for e in m):
+        if bool in map(type, m):
             raise TypeError
         m = tuple(map(operator.index, m))
     except TypeError:
         raise InputError(f"bad exponent vector {m!r}") from None
     if len(m) != n:
         raise InputError(f"exponent vector {m} has length {len(m)}, expected {n}")
-    if any(e < 0 or e > MAX_EXPONENT for e in m):
+    if m and (min(m) < 0 or max(m) > MAX_EXPONENT):
         raise InputError(f"exponent out of range in {m}")
     return m
+
+
+def _plain(gens, n):
+    """Whether gens are tuples of n Python ints in range, the rows that
+    check_exponent returns unchanged: one scan over all entries at once
+    stands in for its scans of each row."""
+    if not (set(map(type, gens)) <= {tuple} and set(map(len, gens)) <= {n}):
+        return False
+    flat = list(itertools.chain.from_iterable(gens))
+    return set(map(type, flat)) <= {int} and (
+        not flat or min(flat) >= 0 and max(flat) <= MAX_EXPONENT)
 
 
 def _minimal(G):
@@ -134,14 +146,19 @@ class MonomialIdeal:
     def __init__(self, ring, gens):
         if not isinstance(ring, Ring):
             raise InputError("ring must be a Ring")
-        gens = tuple(tuple(g) for g in gens)
-        for g in gens:
-            if len(g) != ring.n:
-                raise InputError("generator length does not match ring")
-            if not any(g):
-                raise InputError("unit ideal is not supported")
+        gens = tuple(gens)
+        if not _plain(gens, ring.n):
+            gens = tuple(check_exponent(g, ring.n) for g in gens)
+        if not all(map(any, gens)):
+            raise InputError("unit ideal is not supported")
         if any(gens[i] >= gens[i + 1] for i in range(len(gens) - 1)):
             raise InputError("generators must be strictly lex sorted; use from_gens")
+        # distinct generators of one degree never divide each other
+        if len(set(map(sum, gens))) > 1:
+            # hypergraph imports this module, so it is imported here
+            from .hypergraph import is_antichain, level_masks
+            if not is_antichain(level_masks(np.array(gens, dtype=np.int64))[0]):
+                raise InputError("generators must be minimal; use from_gens")
         self.ring = ring
         self._gens = gens
         self.words = None
@@ -190,7 +207,10 @@ class MonomialIdeal:
     @classmethod
     def from_gens(cls, ring, gens):
         """Build an ideal from arbitrary generators, minimalizing them."""
-        return cls(ring, _minimal_of({check_exponent(g, ring.n) for g in gens}))
+        distinct = {check_exponent(g, ring.n) for g in gens}
+        if (0,) * ring.n in distinct:
+            raise InputError("unit ideal is not supported")
+        return cls._trusted(ring, tuple(_minimal_of(distinct)))
 
     @property
     def n(self):
@@ -250,7 +270,8 @@ class MonomialIdeal:
         A = np.array(self.gens, dtype=np.int64)
         B = np.array(other.gens, dtype=np.int64)
         lcms = np.maximum(A[:, None, :], B[None, :, :]).reshape(-1, self.n)
-        return MonomialIdeal(self.ring, _minimal(np.unique(lcms, axis=0)))
+        return MonomialIdeal._trusted(
+            self.ring, tuple(_minimal(np.unique(lcms, axis=0))))
 
     def lcm_lattice(self, cap=DEFAULT_LATTICE_CAP):
         """All lcms of nonempty generator subsets, lex sorted: the OR

@@ -132,7 +132,10 @@ def expanded_koszul(I):
     if len(I.gens) == 1:
         return SimplicialComplex((), (0,))
     G = np.array(I.gens, dtype=np.int64)
-    colon = MonomialIdeal(I.ring, map(tuple, (G - G.min(axis=0)).tolist()))
+    # dividing every generator by their gcd keeps them sorted, minimal and,
+    # with two or more of them, nonzero
+    colon = MonomialIdeal._trusted(
+        I.ring, tuple(map(tuple, (G - G.min(axis=0)).tolist())))
     return facet_complement_complex(polarize_ideal(colon)[0])
 
 

@@ -8,6 +8,7 @@ from depolar import (InputError, MonomialIdeal, Ring, SimplicialComplex,
                      depolarize, dual_complex_via_depolarization,
                      facet_complement_complex, facet_complement_ideal,
                      koszul_complex, stanley_reisner_ideal)
+from depolar import hypergraph
 from depolar.homology import hochster_betti
 from depolar.ideals import ResourceLimit
 
@@ -31,6 +32,26 @@ def test_kinds_and_dims():
     assert tri.kind == "proper"
     assert tri.dim == 1
     assert cx_of(2, [[1, 2]]).is_full_simplex()
+
+
+@pytest.mark.parametrize("budget", [hypergraph._ANTICHAIN_PASS, 1, 5])
+def test_antichain_check_in_bounded_passes(rng, monkeypatch, budget):
+    # each popcount class is tested against the lighter facets in passes
+    # of at most budget words; a small budget splits every class
+    monkeypatch.setattr(hypergraph, "_ANTICHAIN_PASS", budget)
+    for _ in range(80):
+        n = rng.choice((5, 12, 70, 130))
+        masks = {rng.getrandbits(n) for _ in range(rng.randint(1, 10))}
+        if rng.random() < 0.5:
+            masks.add(rng.choice(sorted(masks)) & rng.getrandbits(n))
+        masks = sorted(masks)
+        verts = [f"v{i}" for i in range(n)]
+        sets = [frozenset(i for i in range(n) if m >> i & 1) for m in masks]
+        if oracles.maximal_sets(sets) == sorted(sets, key=oracles.set_key):
+            assert SimplicialComplex(verts, masks).facets == tuple(masks)
+        else:
+            with pytest.raises(InputError, match="antichain"):
+                SimplicialComplex(verts, masks)
 
 
 def test_normalize_keeps_maximal_faces():

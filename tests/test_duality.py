@@ -230,10 +230,23 @@ def test_repolarize_cap_bounds_one_support():
     R = Ring(["x", "y"])
     _, D = polarize_ideal(MonomialIdeal.from_gens(R, [(4, 0), (0, 4)]))
     Jd = MonomialIdeal.from_gens(R, [(1, 2), (2, 1)])
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit,
+                       match="fibers on one support have 24 elements, cap 20"):
         repolarize_dual(Jd, (4, 4), D, cartesian_cap=20)
     # the boxes 1..4 x 2..4 and 2..4 x 1..4 share 9 rows
     assert len(repolarize_dual(Jd, (4, 4), D, cartesian_cap=24).gens) == 15
+    # three supports of 16, 4 and 4 rows: 24 in all, but each within 16
+    R = Ring(["x", "y", "z"])
+    _, D = polarize_ideal(MonomialIdeal.from_gens(
+        R, [(4, 0, 0), (0, 4, 0), (0, 0, 4)]))
+    Jd = MonomialIdeal.from_gens(R, [(1, 1, 0), (0, 0, 1), (2, 0, 3)])
+    got = repolarize_dual(Jd, (4, 4, 4), D, cartesian_cap=16)
+    assert sorted((frozenset(i for i, e in enumerate(g) if e)
+                   for g in got.gens), key=oracles.set_key) \
+        == oracles.repolarized_dual(Jd.gens, (4, 4, 4), D.chains)
+    with pytest.raises(ResourceLimit,
+                       match="fibers on one support have 16 elements, cap 15"):
+        repolarize_dual(Jd, (4, 4, 4), D, cartesian_cap=15)
     # a fiber of 256^8 = 2^64 elements, which int64 arithmetic wraps to 0
     R = Ring([f"x{i}" for i in range(8)])
     _, D = polarize_ideal(MonomialIdeal.from_gens(
@@ -262,6 +275,67 @@ def test_repolarize_dual_past_64_slots(rng):
         assert sorted((frozenset(i for i, e in enumerate(g) if e)
                        for g in got.gens), key=oracles.set_key) \
             == oracles.repolarized_dual(Jdual.gens, mu, D.chains)
+
+
+def fiber_rows(Jdual, mu):
+    """Summed fiber size of the generators of Jdual under mu."""
+    G = np.array(Jdual.gens)
+    boxes = np.where(G > 0, np.array(mu) + 1 - G, 1)
+    return sum(int(np.prod(b)) for b in boxes)
+
+
+def test_repolarize_dual_beside_a_fiber_past_one_pass():
+    # rows go through in passes of 2^14; a support whose fiber is larger
+    # is a pass of its own, beside the batch of the small supports
+    R = Ring(["x", "y", "z", "w"])
+    mu = (50, 50, 3, 3)
+    _, D = polarize_ideal(MonomialIdeal.from_gens(
+        R, [tuple(m if j == i else 0 for j, m in enumerate(mu))
+            for i in range(4)]))
+    # on {x, y}, 45 generators whose boxes overlap: 21,390 rows, 1,260
+    # of them distinct; {x} lies inside {x, y} and {w} inside {z, w}, and
+    # {y, z} meets both without lying inside either
+    stairs = [(k, 51 - k, 0, 0) for k in range(1, 46)]
+    small = [(46, 0, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2), (0, 0, 0, 3),
+             (0, 48, 3, 0)]
+    Jdual = MonomialIdeal.from_gens(R, stairs + small)
+    assert len(Jdual.gens) == 50
+    got = repolarize_dual(Jdual, mu, D)
+    assert sorted((frozenset(i for i, e in enumerate(g) if e)
+                   for g in got.gens), key=oracles.set_key) \
+        == oracles.repolarized_dual(Jdual.gens, mu, D.chains)
+    # {x, y, z} holds 3 * 25 * 26^2 rows, 17,575 of them distinct, so the
+    # survivors of the inner supports {z} and {x, y} are found in two
+    # passes; checked against the dual of the polarization
+    mu = (26, 26, 26, 2)
+    Jdual = MonomialIdeal.from_gens(R, [
+        (1, 1, 2, 0), (1, 2, 1, 0), (2, 1, 1, 0), (0, 0, 25, 0),
+        (20, 20, 0, 0), (0, 0, 24, 1), (0, 0, 0, 2)])
+    J = alexander_dual_ideal(Jdual, mu)
+    P, D = polarize_ideal(J)
+    assert J.lcm_exponent() == mu
+    got = repolarize_dual(Jdual, mu, D)
+    assert got == alexander_dual_ideal(P)
+    # on {x, y, z}, 17,575 less the 26^2 * 2 rows with z >= 25 and the
+    # 7^2 * 24 others with x, y >= 20; 2, 49, 1 and 1 rows on {z}, {x, y},
+    # {z, w} and {w}
+    assert len(got.gens) == 17575 - 26 ** 2 * 2 - 7 ** 2 * 24 + 53
+
+
+def test_repolarize_dual_across_batches(rng):
+    # random duals of 50-120 generators on 20-50 supports whose fibers add
+    # up past one pass, so nested supports fall into different batches
+    seen = 0
+    while seen < 4:
+        n = rng.randint(5, 6)
+        J = random_ideal(rng, n, rng.randint(14, 24), rng.randint(6, 8))
+        P, D = polarize_ideal(J)
+        Jdual = alexander_dual_ideal(J)
+        if fiber_rows(Jdual, J.lcm_exponent()) < 2 ** 14:
+            continue
+        seen += 1
+        assert repolarize_dual(Jdual, J.lcm_exponent(), D) == \
+            alexander_dual_ideal(P)
 
 
 def test_ideals_from_words_equal_ideals_from_tuples(rng):

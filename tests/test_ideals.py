@@ -107,6 +107,40 @@ def test_constructor_contracts():
     with pytest.raises(InputError):
         MonomialIdeal.from_gens(Ring(["x"]), [(-1,)])
     assert MonomialIdeal(Ring(["x"]), ()).is_zero
+    # each generator is checked as check_exponent checks it, and the set
+    # must be minimal: these once printed y^2, x^1.5*y and <x, x*y>
+    R = Ring(["x", "y"])
+    with pytest.raises(InputError, match="out of range"):
+        MonomialIdeal(R, [(-1, 2)])
+    with pytest.raises(InputError, match="bad exponent"):
+        MonomialIdeal(R, [(1.5, 1)])
+    with pytest.raises(InputError, match="minimal"):
+        MonomialIdeal(R, [(1, 0), (1, 1)])
+    for bad in ([(True, 1)], [(1, 0, 0)], [(MAX_EXPONENT + 1, 0)],
+                [(0, 2), (3, 1), (3, 2)]):
+        with pytest.raises(InputError):
+            MonomialIdeal(R, bad)
+    # numpy integers are normalized to ints, as check_exponent does
+    I = MonomialIdeal(R, [(np.int64(0), 2), (1, np.uint8(1))])
+    assert I.gens == ((0, 2), (1, 1)) and type(I.gens[0][1]) is int
+    assert MonomialIdeal(R, [[0, 2], [1, 1], [3, 0]]).gens[2] == (3, 0)
+
+
+def test_constructor_rejects_what_from_gens_drops(rng):
+    # the constructor takes a lex-sorted set of rows exactly when from_gens
+    # would keep every row; rows of several degrees are tested on masks
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        rows = sorted({tuple(rng.randint(0, 3) for _ in range(n))
+                       for _ in range(rng.randint(1, 7))} - {(0,) * n})
+        if not rows:
+            continue
+        R = Ring([f"x{i}" for i in range(n)])
+        if oracles.minimal_elements(rows) == rows:
+            assert MonomialIdeal(R, rows) == MonomialIdeal.from_gens(R, rows)
+        else:
+            with pytest.raises(InputError, match="minimal"):
+                MonomialIdeal(R, rows)
 
 
 def test_from_gens_checks_each_generator_once(monkeypatch):

@@ -161,6 +161,28 @@ def test_repolarize_dual_drops_rows_of_inner_supports(rnd):
 
 
 @st.composite
+def round_trip_duals(draw):
+    """(Jdual, mu, D) as the round trip builds them from a random ideal on
+    5-6 variables: its polarization read back as a complex, then
+    facet_complement_ideal, depolarize and the compact dual.  The duals
+    hold many supports, unrelated and nested, most with one to three
+    generators, as the random roundtrip benchmark inputs do."""
+    n = draw(st.integers(5, 6))
+    I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), draw(
+        st.lists(rows(n, 4), min_size=4, max_size=12)))
+    cx = facet_complement_complex(polarize_ideal(I)[0])
+    assume(cx.kind == "proper")
+    D = depolarize(facet_complement_ideal(cx))
+    return alexander_dual_ideal(D.ideal), D.ideal.lcm_exponent(), D
+
+
+@given(round_trip_duals())
+@RUNS
+def test_repolarize_dual_of_round_trip_duals(case):
+    check_repolarize_dual(case)
+
+
+@st.composite
 def wide_complexes(draw):
     """A random complex on 2-8 core vertices placed anywhere among up to
     140, so its masks may span three words, with up to two cone vertices
