@@ -20,9 +20,7 @@ from .depolarization import (
     SupportPoset,
     depolarize,
     min_chain_partition,
-    ordered_support_poset,
     singleton_partition,
-    support_sets,
     validate_depolarization,
 )
 from .duality import (
@@ -89,14 +87,12 @@ __all__ = [
     "koszul_complex",
     "min_chain_partition",
     "minimalize",
-    "ordered_support_poset",
     "parse_monomial",
     "polarize_ideal",
     "reduced_homology_dims",
     "repolarize_dual",
     "singleton_partition",
     "stanley_reisner_ideal",
-    "support_sets",
     "total_betti",
     "validate_depolarization",
     "verify_polar_koszul_iso",

@@ -1,29 +1,49 @@
 """Abstract simplicial complexes and their ideal-theoretic companions.
 
 Complexes keep a fixed ambient vertex list (isolated vertices included, they
-matter for Alexander duality) and store facets as integer bitmasks.  Three
-kinds are distinguished: void (no faces at all), irrelevant (only the empty
-face) and proper.
+matter for Alexander duality) and store facets as words: a (W, N) uint64
+array of vertex sets in the layout of hypergraph, W = max(1, ceil(n / 64)),
+ascending as integers.  Squarefree ideals built from sets hold the same
+words, so a complex and its facet complement ideal are one array apart.
+Three kinds are distinguished: void (no faces at all), irrelevant (only the
+empty face) and proper.
 """
 
-import itertools
+import operator
 
 import numpy as np
 
 from .hypergraph import (alexander_dual_ideal, bits_of, from_words,
-                         is_antichain, maximal_masks, rows_to_words, to_words)
+                         is_antichain, minimal_columns, popcounts,
+                         prefix_words, rows_to_words, to_words)
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, Ring,
                      check_exponent)
 
 DEFAULT_FACE_CAP = 2 ** 22
 
 
-def _checked(vertices, facets):
-    """vertices and facets as tuples, checked: distinct valid vertex names,
-    and facet masks strictly ascending inside the vertex set."""
+def _width(n):
+    """Words per vertex set on n vertices."""
+    return max(1, -(-n // 64))
+
+
+def _full(n):
+    """(W, 1) words of the set of all n vertices."""
+    return prefix_words(0, np.array([[n]]), _width(n))
+
+
+def _names(vertices):
+    """vertices as a tuple of distinct valid vertex names."""
     vertices = tuple(vertices)
     if vertices:  # the empty ambient set is legal (span-zero expansions)
         Ring(vertices)
+    return vertices
+
+
+def _checked(vertices, facets):
+    """vertices and facets as tuples, checked: distinct valid vertex names,
+    and facet masks strictly ascending inside the vertex set."""
+    vertices = _names(vertices)
     facets = tuple(int(f) for f in facets)
     top = 1 << len(vertices)
     for f in facets:
@@ -35,37 +55,57 @@ def _checked(vertices, facets):
 
 
 class SimplicialComplex:
-    """Facets as sorted bitmasks over an ambient vertex list.
+    """Facets as words over an ambient vertex list; facets reads them as
+    Python int bitmasks, decoded on first read.
 
-    The constructor checks that the facets form an antichain; use
-    normalize() or from_faces() for raw input.
+    The constructor takes int masks and checks that they form an
+    antichain; use normalize() or from_faces() for raw input.
     """
 
-    __slots__ = ("vertices", "facets")
+    __slots__ = ("vertices", "words", "_facets")
 
     def __init__(self, vertices, facets):
         vertices, facets = _checked(vertices, facets)
-        W = max(1, -(-len(vertices) // 64))
-        if not is_antichain(to_words(facets, W)):
+        words = to_words(facets, _width(len(vertices)))
+        if not is_antichain(words):
             raise InputError("facets must form an antichain")
-        self.vertices = vertices
-        self.facets = facets
+        words.flags.writeable = False
+        self.vertices, self.words, self._facets = vertices, words, facets
 
     @classmethod
-    def _trusted(cls, vertices, facets):
-        """The complex of facets, a strictly ascending tuple of pairwise
-        incomparable masks over the tuple vertices, taken unchecked: for
-        masks a caller has just built that way."""
+    def _trusted(cls, vertices, words):
+        """The complex of the columns of words, a (W, N) array of pairwise
+        incomparable vertex sets ascending as integers, over the checked
+        tuple vertices, taken unchecked: for sets a caller has just built
+        that way."""
         cx = cls.__new__(cls)
         cx.vertices = vertices
-        cx.facets = facets
+        cx.words = words
+        cx._facets = None
+        words.flags.writeable = False  # facets, once decoded, must stay true
         return cx
 
     @classmethod
+    def _of_faces(cls, vertices, words):
+        """The complex of the maximal columns of words, a (W, N) array of
+        vertex sets over the checked tuple vertices, in any order and with
+        repeats: the complements of the minimal complements.  The bits
+        past the last vertex are set in every complement alike, so they
+        change no order or inclusion between them."""
+        out = ~words
+        out = out[:, np.lexsort(out)]
+        fresh = np.ones(out.shape[1], dtype=bool)
+        fresh[1:] = (out[:, 1:] != out[:, :-1]).any(axis=0)
+        out = minimal_columns(out.compress(fresh, axis=1))
+        # complements reverse the ascending order
+        return cls._trusted(vertices, ~out[:, ::-1])
+
+    @classmethod
     def normalize(cls, vertices, masks):
-        vertices = tuple(vertices)
-        return cls._trusted(*_checked(
-            vertices, maximal_masks(masks, len(vertices))))
+        """The complex of the maximal masks among int masks in any order."""
+        masks = sorted(set(map(operator.index, masks)))
+        vertices, masks = _checked(vertices, masks)
+        return cls._of_faces(vertices, to_words(masks, _width(len(vertices))))
 
     @classmethod
     def from_faces(cls, vertices, faces):
@@ -79,7 +119,14 @@ class SimplicialComplex:
                 if name not in index:
                     raise InputError(f"unknown vertex {name!r}")
                 row[index[name]] = True
-        return cls.normalize(vertices, from_words(rows_to_words(rows)))
+        return cls._of_faces(_names(vertices), rows_to_words(rows))
+
+    @property
+    def facets(self):
+        """The facets as strictly ascending Python int bitmasks."""
+        if self._facets is None:
+            self._facets = tuple(from_words(self.words))
+        return self._facets
 
     @property
     def n(self):
@@ -87,26 +134,26 @@ class SimplicialComplex:
 
     @property
     def kind(self):
-        if not self.facets:
+        if not self.words.shape[1]:
             return "void"
-        if self.facets == (0,):
+        if self.words.shape[1] == 1 and not self.words.any():
             return "irrelevant"
         return "proper"
 
     @property
     def dim(self):
         """Top face dimension; -1 for irrelevant, -2 for void."""
-        if not self.facets:
+        if not self.words.shape[1]:
             return -2
-        return max(f.bit_count() for f in self.facets) - 1
+        return int(popcounts(self.words).max()) - 1
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices
-                and self.facets == other.facets)
+                and np.array_equal(self.words, other.words))
 
     def __hash__(self):
-        return hash((self.vertices, self.facets))
+        return hash((self.vertices, self.words.tobytes()))
 
     def __repr__(self):
         names = [" ".join(self.names_of(f)) or "{}" for f in self.facets]
@@ -116,13 +163,11 @@ class SimplicialComplex:
         return [self.vertices[i] for i in bits_of(mask)]
 
     def is_full_simplex(self):
-        return self.facets == ((1 << self.n) - 1,)
+        return np.array_equal(self.words, _full(self.n))
 
     def isolated_vertices(self):
-        used = 0
-        for f in self.facets:
-            used |= f
-        return self.names_of(((1 << self.n) - 1) ^ used)
+        used = np.bitwise_or.reduce(self.words, axis=1, keepdims=True)
+        return self.names_of(from_words(_full(self.n) ^ used)[0])
 
     def faces_by_dim(self, cap=DEFAULT_FACE_CAP):
         """All faces grouped by dimension, each group sorted by mask value."""
@@ -189,26 +234,22 @@ def koszul_complex(I, mu=None):
     """
     if mu is not None:
         mu = check_exponent(mu, I.n)
-    if I.is_zero:
-        return SimplicialComplex._trusted(I.ring.variables, ())
-    if mu is None:
+    elif not I.is_zero:
         mu = I.lcm_exponent()
-    _, rows = koszul_rows(np.array(I.gens, dtype=np.int64),
-                          np.array([mu], dtype=np.int64))
-    masks = from_words(rows_to_words(rows))
-    return SimplicialComplex.normalize(I.ring.variables, masks)
+    else:  # no generator, no facet: the void complex
+        mu = (0,) * I.n
+    _, rows = koszul_rows(I._exponents(), np.array([mu], dtype=np.int64))
+    return SimplicialComplex._of_faces(I.ring.variables, rows_to_words(rows))
 
 
 def facet_complement_ideal(cx):
     """Squarefree ideal generated by the complements of the facets."""
     if cx.kind != "proper":
         raise InputError("facet complement ideal needs a proper complex")
-    full = (1 << cx.n) - 1
-    if cx.facets[-1] == full:
+    if cx.is_full_simplex():
         raise InputError("the full simplex gives the unit ideal")
-    words = to_words([full ^ f for f in cx.facets], max(1, -(-cx.n // 64)))
-    # no facet is full, so no mask is zero; antichain facets give minimal masks
-    return MonomialIdeal._of_words(Ring(cx.vertices), words)
+    # no facet is full, so no set is empty; antichain facets give minimal sets
+    return MonomialIdeal._of_words(Ring(cx.vertices), cx.words ^ _full(cx.n))
 
 
 def facet_complement_complex(I):
@@ -217,20 +258,16 @@ def facet_complement_complex(I):
     facet_complement_ideal.  The zero ideal gives the void complex."""
     words = I.words
     if words is None:
-        try:
-            # 0/1 exponents, so each fits one byte; bytes() refuses one past 255
-            rows = np.frombuffer(bytes(itertools.chain.from_iterable(I.gens)),
-                                 dtype=np.uint8)
-            if (rows > 1).any():
-                raise ValueError
-        except ValueError:
-            raise InputError("facet_complement_complex needs a squarefree ideal") from None
-        words = rows_to_words(rows.reshape(-1, I.n))
-    facets = to_words([(1 << I.n) - 1], len(words)) ^ words
+        rows = I._exponents()
+        if (rows > 1).any():
+            raise InputError(
+                "facet_complement_complex needs a squarefree ideal")
+        words = rows_to_words(rows)
+    facets = words ^ _full(I.n)
     # ascending as integers: the top word is the first key; the complements
     # of an antichain form one
-    return SimplicialComplex._trusted(
-        I.ring.variables, tuple(from_words(facets[:, np.lexsort(facets)])))
+    return SimplicialComplex._trusted(I.ring.variables,
+                                      facets[:, np.lexsort(facets)])
 
 
 def stanley_reisner_ideal(cx, cap=None):
@@ -251,7 +288,7 @@ def complex_of_squarefree_ideal(I, cap=None):
     if not I.is_squarefree():
         raise InputError("complex_of_squarefree_ideal needs a squarefree ideal")
     if I.is_zero:
-        return SimplicialComplex._trusted(I.ring.variables, ((1 << I.n) - 1,))
+        return SimplicialComplex._trusted(I.ring.variables, _full(I.n))
     return facet_complement_complex(alexander_dual_ideal(I, cap=cap))
 
 
@@ -268,7 +305,6 @@ def alexander_dual_complex(cx, cap=None):
         raise InputError("the void complex has no Alexander dual")
     if cx.kind == "irrelevant":
         # the complements of the single vertices; vertex 0's is the largest
-        rows = ~np.eye(cx.n, dtype=bool)
         return SimplicialComplex._trusted(
-            cx.vertices, tuple(from_words(rows_to_words(rows))[::-1]))
+            cx.vertices, rows_to_words(~np.eye(cx.n, dtype=bool))[:, ::-1])
     return facet_complement_complex(stanley_reisner_ideal(cx, cap))

@@ -33,34 +33,6 @@ class SupportPoset:
         a, b = self.incidence[:, u], self.incidence[:, v]
         return (b <= a).all(0) & ((u < v) | (a != b).any(0))
 
-    def precedes(self, i, j):
-        return bool(self._ascending([i], [j])[0])
-
-    def is_chain(self, seq):
-        seq = np.asarray(seq, dtype=np.int64)
-        return bool(self._ascending(seq[:-1], seq[1:]).all())
-
-
-def _incidence(I):
-    """Generator x variable 0/1 matrix of a squarefree ideal, as bool."""
-    G = np.array(I.gens, dtype=np.int64).reshape(len(I.gens), I.n)
-    if (G > 1).any():
-        raise InputError("support sets need a squarefree ideal; polarize first")
-    return G > 0
-
-
-def support_sets(I):
-    """C_i for every i in supp(I); requires a squarefree ideal."""
-    M = _incidence(I)
-    out = {}
-    for i in np.flatnonzero(M.any(0)).tolist():
-        out[i] = frozenset(np.flatnonzero(M[M[:, i]].all(axis=0)).tolist())
-    return out
-
-
-def ordered_support_poset(I):
-    return SupportPoset(I.ring, _incidence(I))
-
 
 def singleton_partition(poset):
     return tuple((i,) for i in poset.elements)

@@ -55,11 +55,11 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     misfit = D.misfit(mu)
     if misfit:
         raise InputError(f"bijection arity mismatch: {misfit}")
-    G = np.array(Jdual.gens, dtype=np.int64)
+    G = Jdual._exponents()
     top = np.array(mu, dtype=np.int64)
     over = (G > top).any(axis=1)
     if over.any():
-        raise InputError(f"dual generator {Jdual.gens[over.argmax()]} "
+        raise InputError(f"dual generator {tuple(G[over.argmax()].tolist())} "
                          f"exceeds mu {mu}")
     n = len(mu)
     supports, group = np.unique(G > 0, axis=0, return_inverse=True)
@@ -166,11 +166,11 @@ def dual_complex_via_depolarization(cx, partition=None,
     D = clock("depolarize", depolarize, I, partition)
     report["gens_J"] = len(D.ideal.gens)
     Jdual = clock("dual", alexander_dual_ideal, D.ideal)
-    report["gens_Jdual"] = len(Jdual.gens)
+    G = Jdual._exponents()
+    report["gens_Jdual"] = len(G)
     mu = D.ideal.lcm_exponent()
     # the rows repolarize_dual builds before it drops duplicates and
     # non-minimal ones: the box mu + 1 - nu on supp(nu) of each generator
-    G = np.array(Jdual.gens, dtype=np.int64).reshape(-1, len(mu))
     boxes = np.where(G > 0, np.array(mu) + 1 - G, 1)
     report["fiber_elements"] = sum(map(math.prod, boxes.tolist()))
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)

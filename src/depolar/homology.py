@@ -4,15 +4,15 @@ Betti numbers of a monomial ideal come from reduced homology of its Koszul
 complexes: beta_{i,mu} = dim H~_{i-1}(K^mu_I), summed over the lcm lattice.
 """
 
-import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
 from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex, koszul_complex,
                         koszul_rows)
+from .hypergraph import from_words, rows_to_words
 from .ideals import (DEFAULT_LATTICE_CAP, InputError, Ring, check_exponent,
                      total_degree)
 
@@ -193,19 +193,19 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
     Welker), so many points share one Koszul complex up to relabelling.
     The points are walked in blocks of about 2M array entries.  At each
     point the supp(mu - g) rows of the dividing generators are restricted
-    to the columns of their union, and the set of packed rows keys the
-    complex on vertices 0..c-1.  Distinct keys are built once, and the
-    homology is computed once per distinct facet tuple among them, in
-    memos that live for this call.  Points with one complex have equal
-    face counts, so face_cap fires at the point where it would computing
-    one complex per point.
+    to the columns of their union, and the set of their words, read as
+    ints, keys the complex on vertices 0..c-1.  Distinct keys are built
+    once, and the homology is computed once per distinct complex among
+    them, in memos that live for this call.  Points with one complex have
+    equal face counts, so face_cap fires at the point where it would
+    computing one complex per point.
     """
     _check_modulus(p)
     points = I.lcm_lattice(lattice_cap)
     G = np.array(I.gens, dtype=np.int64)
     P = np.array(points, dtype=np.int64)
     step = max(1, 2_000_000 // G.size)
-    by_rows, by_facets, entries = {}, {}, {}
+    by_rows, by_complex, entries = {}, {}, {}
     for lo in range(0, len(points), step):
         divides_mu, rows = koszul_rows(G, P[lo:lo + step])
         # every lattice point has a divisor, so no point's run is empty
@@ -221,33 +221,28 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
         order = np.empty_like(target)
         np.put_along_axis(order, target, np.arange(G.shape[1])[None, :],
                           axis=1)
-        rows = np.take_along_axis(rows, order[owner], axis=1)
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0].tolist()
+        words = rows_to_words(np.take_along_axis(rows, order[owner], axis=1))
+        keys = from_words(words)
         start = 0
-        for mu, end in zip(points[lo:lo + step], ends.tolist()):
+        for mu, end, c in zip(points[lo:lo + step], ends.tolist(),
+                              inside[:, -1].tolist()):
             key = frozenset(keys[start:end])
-            start = end
             dims = by_rows.get(key)
             if dims is None:
-                cx = _compact_koszul(key, I.ring.variables)
-                dims = by_facets.get(cx.facets)
+                # the rows set no bit past c, so the words past c's are 0
+                cx = SimplicialComplex._of_faces(
+                    I.ring.variables[:c],
+                    words[:max(1, -(-c // 64)), start:end])
+                dims = by_complex.get(cx)
                 if dims is None:
-                    dims = by_facets[cx.facets] = reduced_homology_dims(
+                    dims = by_complex[cx] = reduced_homology_dims(
                         cx, face_cap, p)
                 by_rows[key] = dims
+            start = end
             for i, d in enumerate(dims):
                 if d:
                     entries[(i, mu)] = d
     return BettiTable(I.ring, entries)
-
-
-def _compact_koszul(key, names):
-    """The complex spanned by the packed rows of key on vertices 0..c-1,
-    named by the first c names."""
-    masks = [int.from_bytes(row, "little") for row in key]
-    c = reduce(operator.or_, masks).bit_length()
-    return SimplicialComplex.normalize(names[:c], masks)
 
 
 def total_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,

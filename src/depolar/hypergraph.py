@@ -133,7 +133,7 @@ def level_masks(G):
 def slot_levels(T, level, lo, hi):
     """(N, n) levels of the (W, N) block-prefix masks T: in each block the
     level of the top slot set, 0 where none is."""
-    filled = block_popcounts(T, lo.tolist(), hi.tolist())
+    filled = block_popcounts(T, lo, hi)
     return np.where(filled > 0, level[lo + filled - 1], 0)
 
 
@@ -192,12 +192,17 @@ def lcm_closure(G, cap):
 
 def block_popcounts(arr, lo, hi):
     """(N, B) bits set in each column of a (W, N) array within each slot
-    range lo[b] <= s < hi[b]."""
-    blocks = to_words([(1 << h) - (1 << l) for l, h in zip(lo, hi)], len(arr))
+    range lo[b] <= s < hi[b], for arrays lo and hi."""
+    blocks = prefix_words(lo[:, None], hi[:, None], len(arr))
     out = np.zeros((arr.shape[1], len(lo)), dtype=np.int64)
     for w in range(len(arr)):
         out += _popcount(arr[w][:, None] & blocks[w][None, :])
     return out
+
+
+def popcounts(arr):
+    """(N,) int64 bits set in each column of a (W, N) array."""
+    return sum(_popcount(word).astype(np.int64) for word in arr)
 
 
 def _contains(cand, keep):
@@ -236,7 +241,7 @@ def minimal_columns(arr):
     """
     if arr.shape[1] * arr.size <= _BUDGET:
         return arr.compress(_subsets(arr, arr, np.add.reduce) == 1, axis=1)
-    weight = sum(_popcount(word).astype(np.int64) for word in arr)
+    weight = popcounts(arr)
     order = np.argsort(weight, kind="stable")
     keep = np.zeros(arr.shape[1], dtype=bool)
     for cls in np.split(order, np.flatnonzero(np.diff(weight[order])) + 1):
@@ -255,7 +260,7 @@ def is_antichain(arr):
     another.  A proper subset has fewer bits, so each popcount class is
     tested only against the lighter columns, in passes of at most
     _ANTICHAIN_PASS words."""
-    weight = sum(_popcount(word).astype(np.int64) for word in arr)
+    weight = popcounts(arr)
     order = np.argsort(weight, kind="stable")
     bounds = (np.flatnonzero(np.diff(weight[order])) + 1).tolist()
     for lo, hi in zip(bounds, bounds[1:] + [len(order)]):
@@ -265,21 +270,6 @@ def is_antichain(arr):
             if _subsets(arr[:, order[i:min(i + step, hi)]], lighter).any():
                 return False
     return True
-
-
-def minimal_masks(masks):
-    """Inclusion-minimal masks from an iterable of ints, sorted ascending."""
-    masks = sorted(set(masks))
-    if len(masks) <= 1:
-        return masks
-    arr = to_words(masks, -(-masks[-1].bit_length() // 64))
-    return from_words(minimal_columns(arr))
-
-
-def maximal_masks(masks, nverts):
-    """Inclusion-maximal masks, via complements of minimal complements."""
-    full = (1 << nverts) - 1
-    return sorted(full ^ m for m in minimal_masks(full ^ m for m in masks))
 
 
 def berge_fold(hits, starts, cap=None):
@@ -364,7 +354,8 @@ def alexander_dual_ideal(I, a=None, cap=None):
     gets one slot per distinct level its generators ask for, at most a_i,
     and t sets the slots of block i up to t_i.  berge_fold folds the
     generators in, in colex order, on W-word bitsets.  Every dual of the
-    package, complexes included, is computed here.
+    package, complexes included, is computed here.  A squarefree dual
+    (every a_i at most 1) comes back as words, any other as tuples.
     """
     if I.is_zero:
         raise InputError("the zero ideal dualizes to the unit ideal")
@@ -385,5 +376,7 @@ def alexander_dual_ideal(I, a=None, cap=None):
     T = berge_fold(slot, np.repeat(lo, hi - lo), cap)
     # the top slot set in block i holds t_i
     exps = slot_levels(T, level, lo, hi)
+    if max(a) <= 1:
+        return MonomialIdeal._of_words(I.ring, rows_to_words(exps))
     exps = exps[np.lexsort(exps.T[::-1])]
     return MonomialIdeal._trusted(I.ring, tuple(map(tuple, exps.tolist())))

@@ -104,22 +104,18 @@ def _plain(gens, n):
         not flat or min(flat) >= 0 and max(flat) <= MAX_EXPONENT)
 
 
-def _minimal(G):
-    """Lex-sorted tuples of the divisibility-minimal rows of G, an (N, n)
-    array of distinct exponent rows, tested as containment of their level
-    masks (hypergraph.level_masks)."""
+def _minimal_of(distinct):
+    """minimalize of a set of checked exponent tuples: the lex-sorted
+    divisibility-minimal ones, tested as containment of their level masks
+    (hypergraph.level_masks)."""
+    if len(distinct) <= 1:
+        return list(distinct)
     # hypergraph imports this module, so it is imported here
     from .hypergraph import level_masks, minimal_columns, slot_levels
+    G = np.array(list(distinct), dtype=np.int64)
     masks, level, lo, hi = level_masks(G)
     keep = slot_levels(minimal_columns(masks), level, lo, hi)
     return sorted(map(tuple, keep.tolist()))
-
-
-def _minimal_of(distinct):
-    """minimalize of a set of checked exponent tuples."""
-    if len(distinct) <= 1:
-        return list(distinct)
-    return _minimal(np.array(list(distinct), dtype=np.int64))
 
 
 def minimalize(gens):
@@ -260,18 +256,6 @@ class MonomialIdeal:
         """Componentwise lcm minus gcd of the generators."""
         mu, nu = self.lcm_exponent(), self.gcd_exponent()
         return tuple(a - b for a, b in zip(mu, nu))
-
-    def intersect(self, other):
-        """Intersection, G = minimal elements of pairwise lcms."""
-        if self.ring != other.ring:
-            raise InputError("intersect needs a common ring")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal(self.ring, ())
-        A = np.array(self.gens, dtype=np.int64)
-        B = np.array(other.gens, dtype=np.int64)
-        lcms = np.maximum(A[:, None, :], B[None, :, :]).reshape(-1, self.n)
-        return MonomialIdeal._trusted(
-            self.ring, tuple(_minimal(np.unique(lcms, axis=0))))
 
     def lcm_lattice(self, cap=DEFAULT_LATTICE_CAP):
         """All lcms of nonempty generator subsets, lex sorted: the OR

@@ -14,7 +14,7 @@ import operator
 import numpy as np
 
 from .complexes import SimplicialComplex, facet_complement_complex, koszul_complex
-from .hypergraph import bits_of
+from .hypergraph import rows_to_words, words_to_rows
 from .ideals import InputError, MonomialIdeal, Ring
 
 
@@ -147,7 +147,9 @@ def verify_polar_koszul_iso(I):
     """
     P, D = polarize_ideal(I)
     K = koszul_complex(P, (1,) * P.n)
+    EK = expanded_koszul(I)
     shift = [v for c, e in zip(D.chains, I.gcd_exponent()) for v in c[e:]]
-    mapped = {sum(1 << shift[b] for b in bits_of(f))
-              for f in expanded_koszul(I).facets}
-    return mapped == set(K.facets)
+    rows = np.zeros((EK.words.shape[1], P.n), dtype=bool)
+    rows[:, shift] = words_to_rows(EK.words, EK.n)
+    # shift ascends, so the mapped facets stay in ascending order
+    return np.array_equal(rows_to_words(rows), K.words)

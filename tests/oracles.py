@@ -1,11 +1,16 @@
 """Brute force reference implementations used to freeze expected values.
 
 Everything here favors obviousness over speed and is kept independent of the
-package under test, so disagreements point at real bugs.
+package under test, so disagreements point at real bugs.  The one exception
+is ordered_support_poset, which builds the package's poset type for the
+tests that drive the chain partition.
 """
 
 import itertools
 from fractions import Fraction
+
+from depolar.depolarization import SupportPoset
+from depolar.ideals import InputError
 
 
 def divides(a, b):
@@ -29,16 +34,6 @@ def minimal_elements(monos):
 def members(gens, bound):
     return [m for m in monomials_below(bound)
             if any(divides(g, m) for g in gens)]
-
-
-def intersect(gens_a, gens_b):
-    n = len(gens_a[0])
-    bound = tuple(max(max(g[i] for g in gens_a), max(g[i] for g in gens_b))
-                  for i in range(n))
-    both = [m for m in monomials_below(bound)
-            if any(divides(g, m) for g in gens_a)
-            and any(divides(g, m) for g in gens_b)]
-    return minimal_elements(both)
 
 
 def lcm_closure(gens):
@@ -265,16 +260,52 @@ def max_antichain(elements, strictly_less):
     return best
 
 
+def _squarefree_gens(I):
+    if any(e > 1 for g in I.gens for e in g):
+        raise InputError("support sets need a squarefree ideal")
+    return I.gens
+
+
+def support_sets(I):
+    """C_i for every variable i in supp(I): the intersection of the
+    supports of the generators that contain i.  Needs a squarefree ideal."""
+    sups = [frozenset(i for i, e in enumerate(g) if e)
+            for g in _squarefree_gens(I)]
+    return {i: frozenset.intersection(*[s for s in sups if i in s])
+            for i in range(I.n) if any(i in s for s in sups)}
+
+
+def ordered_support_poset(I):
+    """The package's SupportPoset of a squarefree ideal."""
+    return SupportPoset(I.ring, [[e > 0 for e in g]
+                                 for g in _squarefree_gens(I)])
+
+
+def precedes(poset, i, j):
+    """Whether variable i precedes j in a SupportPoset: every generator
+    holding j holds i, and i comes first in the ring when the two are held
+    by the same generators."""
+    rows = poset.incidence.tolist()
+    holds_i = {k for k, row in enumerate(rows) if row[i]}
+    holds_j = {k for k, row in enumerate(rows) if row[j]}
+    return holds_j <= holds_i and (holds_j != holds_i or i < j)
+
+
+def is_chain(poset, seq):
+    return all(precedes(poset, a, b) for a, b in zip(seq, seq[1:]))
+
+
 def comparable(poset, i, j):
-    return poset.precedes(i, j) or poset.precedes(j, i)
+    return precedes(poset, i, j) or precedes(poset, j, i)
 
 
 def hasse_edges(poset):
     """Cover pairs (i, j): i precedes j with nothing strictly between."""
     elems = poset.elements
     return [(i, j) for i in elems for j in elems
-            if poset.precedes(i, j) and not any(
-                poset.precedes(i, k) and poset.precedes(k, j) for k in elems)]
+            if precedes(poset, i, j) and not any(
+                precedes(poset, i, k) and precedes(poset, k, j)
+                for k in elems)]
 
 
 def linear_extension(poset):
@@ -282,7 +313,7 @@ def linear_extension(poset):
     along the order; ties follow ring order."""
     elems = poset.elements
     return sorted(elems, key=lambda j: (
-        sum(poset.precedes(i, j) for i in elems), j))
+        sum(precedes(poset, i, j) for i in elems), j))
 
 
 def chain_partitions(poset, cap=10 ** 4):
@@ -297,7 +328,7 @@ def chain_partitions(poset, cap=10 ** 4):
             return
         e = rest[0]
         for c in chains:
-            if poset.precedes(c[-1], e):
+            if precedes(poset, c[-1], e):
                 c.append(e)
                 extend(rest[1:], chains)
                 c.pop()

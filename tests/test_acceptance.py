@@ -11,7 +11,7 @@ from math import comb
 
 import oracles
 from depolar import (MonomialIdeal, Ring, depolarize, polarize_ideal,
-                     support_sets, validate_depolarization)
+                     validate_depolarization)
 from depolar.bench import run_cell
 from depolar.complexes import (SimplicialComplex, alexander_dual_complex,
                                complex_of_squarefree_ideal,
@@ -56,7 +56,7 @@ def test_criterion_1_worked_examples():
         frozenset({"x_1", "x_2", "y_1", "y_2", "y_3", "z_1", "z_2", "t_1"}),
         frozenset({"z_1", "z_2", "z_3", "t_1"}),
     }
-    C = support_sets(P)
+    C = oracles.support_sets(P)
     assert {i + 1: sorted(v + 1 for v in C[i]) for i in C} == {
         1: [1, 2, 4], 2: [1, 2, 4], 3: [1, 2, 3, 4], 4: [4],
         5: [1, 2, 4, 5, 6, 7, 8, 10], 6: [1, 2, 4, 5, 6, 7, 8, 10],

@@ -2,6 +2,7 @@ import ast
 import inspect
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 import oracles
 from depolar import (Depolarization, InputError, MonomialIdeal, Ring,
-                     depolarize, min_chain_partition, ordered_support_poset,
-                     polarize_ideal, singleton_partition, support_sets,
-                     validate_depolarization)
+                     depolarize, min_chain_partition, polarize_ideal,
+                     singleton_partition, validate_depolarization)
 from depolar import depolarization
 from depolar.duality import alexander_dual_ideal, repolarize_dual
 from depolar.families import gen_power_ideal
@@ -33,7 +33,7 @@ def ex_ideal():
 
 
 def test_support_sets_golden():
-    C = support_sets(ex_ideal())
+    C = oracles.support_sets(ex_ideal())
     as1 = {i + 1: sorted(v + 1 for v in C[i]) for i in C}
     assert as1 == {
         1: [1, 2, 4], 2: [1, 2, 4], 3: [1, 2, 3, 4], 4: [4],
@@ -43,38 +43,39 @@ def test_support_sets_golden():
 
 def test_support_sets_need_squarefree():
     with pytest.raises(InputError):
-        support_sets(MonomialIdeal.from_gens(Ring(["x"]), [(2,)]))
+        oracles.support_sets(MonomialIdeal.from_gens(Ring(["x"]), [(2,)]))
 
 
 def test_support_sets_skip_unused_variables():
     I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]), [(1, 0, 1)])
-    C = support_sets(I)
+    C = oracles.support_sets(I)
     assert sorted(C) == [0, 2]
 
 
 def test_poset_order_and_hasse():
-    poset = ordered_support_poset(ex_ideal())
-    assert poset.precedes(3, 0) and poset.precedes(0, 1)
-    assert not poset.precedes(1, 0)
+    poset = oracles.ordered_support_poset(ex_ideal())
+    assert oracles.precedes(poset, 3, 0) and oracles.precedes(poset, 0, 1)
+    assert not oracles.precedes(poset, 1, 0)
     assert not oracles.comparable(poset, 2, 8)
     edges1 = sorted((a + 1, b + 1) for a, b in oracles.hasse_edges(poset))
     assert edges1 == [(1, 2), (2, 3), (2, 5), (4, 1), (5, 6), (7, 8),
                       (8, 9), (8, 10), (10, 5)]
-    assert poset.is_chain((3, 0, 1, 2))
-    assert not poset.is_chain((0, 3))
+    assert oracles.is_chain(poset, (3, 0, 1, 2))
+    assert not oracles.is_chain(poset, (0, 3))
 
 
 def test_min_chain_partition_golden():
-    poset = ordered_support_poset(ex_ideal())
+    poset = oracles.ordered_support_poset(ex_ideal())
     cp = min_chain_partition(poset)
     # width of this poset is 3 (max antichain {x3, x9, x10} up to ties)
-    assert oracles.max_antichain(poset.elements, poset.precedes) == 3
+    assert oracles.max_antichain(poset.elements,
+                                 partial(oracles.precedes, poset)) == 3
     assert len(cp) == 3
     covered = sorted(i for c in cp for i in c)
     assert covered == list(range(10))
     for c in cp:
-        assert poset.is_chain(c)
-    again = min_chain_partition(ordered_support_poset(ex_ideal()))
+        assert oracles.is_chain(poset, c)
+    again = min_chain_partition(oracles.ordered_support_poset(ex_ideal()))
     assert again == cp
 
 
@@ -87,19 +88,20 @@ def test_min_chain_partition_matches_width(rng):
             gens.add(tuple((m >> i) & 1 for i in range(n)))
         I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]),
                                     sorted(gens))
-        poset = ordered_support_poset(I)
+        poset = oracles.ordered_support_poset(I)
         cp = min_chain_partition(poset)
         assert {i for c in cp for i in c} == set(poset.elements)
         for c in cp:
-            assert poset.is_chain(c)
-        width = oracles.max_antichain(poset.elements, poset.precedes)
+            assert oracles.is_chain(poset, c)
+        width = oracles.max_antichain(poset.elements,
+                                      partial(oracles.precedes, poset))
         assert len(cp) == width
 
 
 def test_chain_partitions_brute_force():
     I = MonomialIdeal.from_gens(
         Ring(["a", "b", "c"]), [(1, 1, 0), (0, 1, 1)])
-    poset = ordered_support_poset(I)
+    poset = oracles.ordered_support_poset(I)
     parts = oracles.chain_partitions(poset)
     assert len(set(parts)) == len(parts)
     best = min(len(p) for p in parts)
@@ -158,7 +160,7 @@ def test_depolarize_polarizes_first():
 
 def test_depolarize_rejects_bad_partitions():
     I = ex_ideal()
-    poset = ordered_support_poset(I)
+    poset = oracles.ordered_support_poset(I)
     bad = [([(0, 3)], "chains must cover exactly the support"),
            ([(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,), ()], "empty chain"),
            ([(3, 0, 1, 2), (6, 7, 9, 4, 5, 1), (8,)], "chains overlap"),
@@ -197,7 +199,7 @@ def test_depolarize_checks_a_partition_once(monkeypatch):
     assert len(calls) == 1
     # the minimum partition is built from the poset and needs no check
     assert depolarize(I).chains == min_chain_partition(
-        ordered_support_poset(I))
+        oracles.ordered_support_poset(I))
     assert len(calls) == 1
 
 
@@ -249,7 +251,7 @@ def test_non_prefix_chain_rejected():
     # chain cannot meet both generators in a prefix
     I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),
                                 [(1, 1, 0), (0, 1, 1)])
-    poset = ordered_support_poset(I)
+    poset = oracles.ordered_support_poset(I)
     got = set()
     for cp in oracles.chain_partitions(poset):
         try:
@@ -270,7 +272,7 @@ def test_every_partition_roundtrips(rng):
             gens.add(tuple((m >> i) & 1 for i in range(n)))
         I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]),
                                     sorted(gens))
-        poset = ordered_support_poset(I)
+        poset = oracles.ordered_support_poset(I)
         for cp in oracles.chain_partitions(poset):
             try:
                 D = depolarize(I, cp)
@@ -291,7 +293,7 @@ def test_accepted_user_partitions_depolarize(rng):
         if not gens:
             continue
         I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), gens)
-        order = list(ordered_support_poset(I).elements)
+        order = list(oracles.ordered_support_poset(I).elements)
         rng.shuffle(order)
         cuts = sorted(rng.sample(range(1, len(order)),
                                  rng.randint(0, len(order) - 1)))
@@ -326,16 +328,16 @@ def polarized_ideals(draw):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 def test_min_chain_partition_of_polarizations(P):
-    poset = ordered_support_poset(P)
-    below = {(a, b): poset.precedes(a, b)
+    poset = oracles.ordered_support_poset(P)
+    below = {(a, b): oracles.precedes(poset, a, b)
              for a in poset.elements for b in poset.elements}
     cp = min_chain_partition(poset)
     assert len(cp) == oracles.max_antichain(
         poset.elements, lambda a, b: below[a, b])
     assert sorted(i for c in cp for i in c) == list(poset.elements)
     for c in cp:
-        assert poset.is_chain(c)
-    assert min_chain_partition(ordered_support_poset(P)) == cp
+        assert oracles.is_chain(poset, c)
+    assert min_chain_partition(oracles.ordered_support_poset(P)) == cp
     assert depolarize(P).chains == cp
 
 

@@ -486,7 +486,8 @@ def bit_loops(tree):
             targets = [g.target for g in node.generators]
         else:
             if getattr(node, "attr", getattr(node, "id", None)) in (
-                    "packbits", "unpackbits", "from_bytes", "to_bytes"):
+                    "packbits", "unpackbits", "frombuffer", "from_bytes",
+                    "to_bytes"):
                 found.add(node.lineno)
             continue
         bound = {n.id for t in targets for n in ast.walk(t)
@@ -501,14 +502,18 @@ def bit_loops(tree):
 
 
 def test_squarefree_rows_have_one_encoder():
-    # squarefree rows pass between the round-trip steps as words, and only
-    # the hypergraph helpers pack rows into words or unpack them: the
-    # modules of the round trip build no mask bit by bit
+    # squarefree rows pass between the round-trip steps, the complexes and
+    # the Betti sweep as words, and only the hypergraph helpers pack rows
+    # into words or unpack them: no other module builds a mask bit by bit,
+    # and the int-mask helpers and the sweep's byte keys stay gone
     helpers = ("from_words", "rows_to_words", "to_words", "words_to_rows")
-    defined, _ = definitions_and_uses(helpers, ())
+    defined, gone = definitions_and_uses(
+        helpers, ("minimal_masks", "maximal_masks", "_compact_koszul"))
     assert defined == [("hypergraph.py", name) for name in helpers]
+    assert gone == []
     src = pathlib.Path(hypergraph.__file__).parent
-    for module in ("complexes.py", "duality.py", "ideals.py"):
+    for module in ("complexes.py", "duality.py", "homology.py", "ideals.py",
+                   "polarization.py"):
         assert bit_loops(ast.parse((src / module).read_text())) == [], module
 
 
@@ -519,8 +524,9 @@ for name in face:
     m |= 1 << index[name]
 rows = np.unpackbits(packed)
 full = (1 << n) - 1
+rows = np.frombuffer(bytes(flat), dtype=np.uint8)
 """
-    assert bit_loops(ast.parse(source)) == [2, 4, 5]
+    assert bit_loops(ast.parse(source)) == [2, 4, 5, 7]
 
 
 def test_polarization_has_one_chain_map():

@@ -130,6 +130,18 @@ def test_graded_betti_homology_once_per_complex(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_graded_betti_rows_across_words(n):
+    # <m / x_i>: at the top of the lcm lattice the Koszul complex is the n
+    # single vertices, so that point's rows span every word of n vertices
+    I = MonomialIdeal.from_gens(
+        Ring([f"x{i}" for i in range(n)]),
+        [tuple(int(j != i) for j in range(n)) for i in range(n)])
+    table = graded_betti(I)
+    assert table.totals() == [n, n - 1]
+    assert table.entries[(1, (1,) * n)] == n - 1
+
+
 def test_graded_betti_memo_is_per_call():
     # at (1, 1, 2) the Koszul complex is the hollow triangle: 7 faces
     I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),

@@ -51,10 +51,6 @@ def mask_words(gens):
     return len(hypergraph.level_masks(np.array(gens, dtype=np.int64))[0])
 
 
-def pairwise_lcm_oracle(A, B):
-    return oracles.minimal_elements([oracles.lcm(a, b) for a in A for b in B])
-
-
 @pytest.mark.parametrize("levels, words", [(70, 2), (140, 3)])
 def test_minimalize_across_words(rng, levels, words):
     # the first variable takes more than 64 (or 128) distinct levels, up to
@@ -65,8 +61,6 @@ def test_minimalize_across_words(rng, levels, words):
         gens += [(MAX_EXPONENT, 0, rng.randint(1, 3)), (0, 3, 3)]
         assert mask_words(gens) == words
         assert minimalize(gens) == oracles.minimal_elements(gens)
-        A, B = ideal(*gens[:levels // 2]), ideal(*gens[levels // 2:])
-        assert list(A.intersect(B).gens) == pairwise_lcm_oracle(A.gens, B.gens)
 
 
 def test_minimalize_past_the_pairs_budget(rng, monkeypatch):
@@ -83,16 +77,11 @@ def test_minimalize_past_the_pairs_budget(rng, monkeypatch):
     monkeypatch.setattr(hypergraph, "_BUDGET", 0)
     for _ in range(100):
         n = rng.randint(1, 5)
-        draw = lambda: [tuple(rng.randint(0, 3) for _ in range(n))
-                        for _ in range(rng.randint(1, 8))]
-        ga = [g for g in draw() if any(g)]
-        gb = [g for g in draw() if any(g)]
-        if not ga or not gb:
-            continue
-        assert minimalize(ga) == oracles.minimal_elements(ga)
-        A, B = ideal(*ga), ideal(*gb)
-        assert list(A.intersect(B).gens) == \
-            oracles.intersect(list(A.gens), list(B.gens))
+        gens = [tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 8))]
+        gens = [g for g in gens if any(g)]
+        if gens:
+            assert minimalize(gens) == oracles.minimal_elements(gens)
 
 
 def test_constructor_contracts():
@@ -173,26 +162,6 @@ def test_basic_queries():
     assert I.contains((3, 1, 5))
     assert not I.contains((1, 1, 1))
     assert ideal((1, 0), (0, 1)).is_squarefree()
-
-
-def test_intersect_matches_oracle(rng):
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        draw = lambda: [tuple(rng.randint(0, 3) for _ in range(n))
-                        for _ in range(rng.randint(1, 5))]
-        ga = [g for g in draw() if any(g)]
-        gb = [g for g in draw() if any(g)]
-        if not ga or not gb:
-            continue
-        A, B = ideal(*ga), ideal(*gb)
-        got = A.intersect(B)
-        assert list(got.gens) == oracles.intersect(list(A.gens), list(B.gens))
-
-
-def test_intersect_needs_common_ring():
-    with pytest.raises(InputError):
-        ideal((1,)).intersect(ideal((1,), names=["y"]))
-    assert ideal((1, 0)).intersect(MonomialIdeal(Ring(["x1", "x2"]), ())).is_zero
 
 
 def test_lcm_lattice_matches_subset_closure(rng):

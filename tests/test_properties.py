@@ -2,7 +2,8 @@
 
 import itertools
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import oracles
 from depolar.ideals import Ring, MonomialIdeal
@@ -264,3 +265,113 @@ def test_transversals_match_oracle(case):
                                 oracles.edge_rows(edges, nverts))
     assert oracles.supports(alexander_dual_ideal(I).gens) == \
         oracles.transversals(edges, nverts)
+
+
+# vertices at the edges of the 64-bit words
+BOUNDARY = (0, 1, 62, 63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def vertex_sets(draw):
+    """(n, sets): 1-130 vertices and up to five sets on at most seven of
+    them, placed anywhere and often at a word boundary.  No sets give the
+    void complex, and only empty ones the irrelevant complex."""
+    n = draw(st.integers(1, 130))
+    spots = sorted(draw(st.sets(st.one_of(
+        st.sampled_from([v for v in BOUNDARY if v < n]),
+        st.integers(0, n - 1)), min_size=1, max_size=7)))
+    return n, draw(st.lists(st.sets(st.sampled_from(spots)), max_size=5))
+
+
+def mask(s):
+    return sum(1 << v for v in s)
+
+
+def check_against_constructor(cx, names, sets):
+    """cx, built on words, is the constructor's complex of the int masks
+    of the maximal sets: word reads first, then the decoded facets."""
+    masks = sorted(map(mask, oracles.maximal_sets(sets)))
+    ref = SimplicialComplex(names, masks)
+    assert cx == ref and ref == cx and hash(cx) == hash(ref)
+    # one facet fewer, or the irrelevant complex beside the void one
+    assert cx != SimplicialComplex(names, masks[:-1] if masks else [0])
+    assert cx.kind == ref.kind
+    assert cx.dim == ref.dim == max(map(len, sets), default=-1) - 1
+    used = set().union(*sets)
+    assert cx.isolated_vertices() == ref.isolated_vertices() == [
+        v for i, v in enumerate(names) if i not in used]
+    assert cx.facets == ref.facets == tuple(masks)
+    assert cx.to_dict() == ref.to_dict()
+
+
+def dual_facet_sets(sets, n):
+    """Facets of the Alexander dual of the nonvoid complex of sets on n
+    vertices: the complements of its minimal non-faces, found among the
+    subsets of the vertices the sets use and the single other vertices."""
+    used = sorted(set().union(*sets))
+    nonfaces = [frozenset(c) for r in range(len(used) + 1)
+                for c in itertools.combinations(used, r)
+                if not any(set(c) <= s for s in sets)]
+    nonfaces += [frozenset({v}) for v in range(n) if v not in used]
+    return [frozenset(range(n)) - s for s in oracles.minimal_sets(nonfaces)]
+
+
+@given(vertex_sets())
+@example((3, []))
+@example((1, [set()]))
+@example((130, [set()]))
+@example((65, [{64}, {0, 63}]))
+@RUNS
+def test_complexes_on_words_agree_with_the_constructor(case):
+    n, sets = case
+    names = [f"v{i}" for i in range(n)]
+    R = Ring(names)
+    full = frozenset(range(n))
+    built = [
+        SimplicialComplex.normalize(names, [mask(s) for s in sets] * 2),
+        SimplicialComplex.from_faces(names, [[names[v] for v in s]
+                                             for s in sets]),
+        # x^(2 - sigma) lies in the ideal exactly when sigma lies in a set
+        koszul_complex(MonomialIdeal.from_gens(
+            R, [tuple(2 - (i in s) for i in range(n)) for s in sets]),
+            (2,) * n)]
+    if full not in sets:
+        # the facet complement ideal of the sets, built from tuples
+        built.append(facet_complement_complex(MonomialIdeal.from_gens(
+            R, [tuple(int(i not in s) for i in range(n))
+                for s in oracles.maximal_sets(sets)])))
+    for cx in built:
+        check_against_constructor(cx, names, sets)
+    cx = built[0]
+    if cx.kind == "void":
+        return
+    dual_sets = dual_facet_sets(sets, n)
+    check_against_constructor(alexander_dual_complex(cx), names, dual_sets)
+    if cx.kind == "proper" and full not in sets:
+        check_against_constructor(facet_complement_complex(
+            facet_complement_ideal(cx)), names, sets)
+        check_against_constructor(dual_complex_via_depolarization(cx)[0],
+                                  names, dual_sets)
+
+
+@given(vertex_sets())
+@example((65, [{64}, {0, 63}]))
+@RUNS
+def test_squarefree_duals_on_words_match_the_oracle(case):
+    # the minimal transversals of the sets, through the vertices they use
+    n, sets = case
+    edges = oracles.minimal_sets(s for s in sets if s)
+    assume(edges)
+    used = sorted(set().union(*edges))
+    hitting = [frozenset(c) for r in range(len(used) + 1)
+               for c in itertools.combinations(used, r)
+               if all(set(c) & e for e in edges)]
+    R = Ring([f"v{i}" for i in range(n)])
+    got = alexander_dual_ideal(MonomialIdeal.from_gens(
+        R, oracles.edge_rows(edges, n)))
+    want = MonomialIdeal.from_gens(
+        R, oracles.edge_rows(oracles.minimal_sets(hitting), n))
+    assert got.words is not None
+    assert got == want and want == got and hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert got.gens == want.gens
