@@ -254,16 +254,12 @@ def facet_complement_ideal(cx):
 
 def facet_complement_complex(I):
     """The complex whose facets are the complements of the generator
-    supports of the squarefree ideal I: the inverse of
-    facet_complement_ideal.  The zero ideal gives the void complex."""
-    words = I.words
-    if words is None:
-        rows = I._exponents()
-        if (rows > 1).any():
-            raise InputError(
-                "facet_complement_complex needs a squarefree ideal")
-        words = rows_to_words(rows)
-    facets = words ^ _full(I.n)
+    supports of the squarefree ideal I, read off its words: the inverse
+    of facet_complement_ideal.  The zero ideal gives the void complex,
+    and an ideal that is not squarefree raises InputError."""
+    if not I.is_squarefree():
+        raise InputError("facet_complement_complex needs a squarefree ideal")
+    facets = I.words ^ _full(I.n)
     # ascending as integers: the top word is the first key; the complements
     # of an antichain form one
     return SimplicialComplex._trusted(I.ring.variables,

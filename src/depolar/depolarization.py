@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .hypergraph import rows_to_words, words_to_rows
 from .ideals import InputError, MonomialIdeal, Ring
 from .polarization import (Depolarization, _chain_tuples, _polarize_rows,
                            polarize_ideal)
@@ -94,7 +95,7 @@ def min_chain_partition(poset):
     in ring order; chains come in the order of their first variable.
     """
     groups = {}  # insertion order: by first ring position
-    cols = np.packbits(poset.incidence[:, poset.elements].T, axis=1)
+    cols = rows_to_words(poset.incidence[:, poset.elements].T).T
     for i, key in zip(poset.elements, cols):
         groups.setdefault(key.tobytes(), []).append(i)
     members = list(groups.values())
@@ -125,11 +126,9 @@ def depolarize(I, partition=None):
     """
     if I.is_zero:
         raise InputError("cannot depolarize the zero ideal")
-    G = I._exponents()
-    if (G > 1).any():
+    if not I.is_squarefree():
         I, _ = polarize_ideal(I)
-        G = I._exponents()
-    poset = SupportPoset(I.ring, G > 0)
+    poset = SupportPoset(I.ring, words_to_rows(I.words, I.n))
     if not isinstance(partition, (str, type(None))):
         # checked before ring_out is named, where two chains that start at
         # one variable would fail as a duplicate name
@@ -162,11 +161,10 @@ def depolarize(I, partition=None):
                         dtype=np.int64)
     ring_out = Ring([I.ring.variables[c[0]] for c in chains])
     # polarizing these rows along the chains gives G(I) back, so they are
-    # nonzero, distinct and minimal
-    k = k[np.lexsort(k.T[::-1])]
-    ideal = MonomialIdeal._trusted(ring_out, tuple(map(tuple, k.tolist())))
-    # the chains are checked above or built from the poset
-    return Depolarization._trusted(ideal, chains, I.ring)
+    # nonzero, distinct and minimal; the chains are checked above or built
+    # from the poset
+    return Depolarization._trusted(MonomialIdeal._of_rows(ring_out, k),
+                                   chains, I.ring)
 
 
 def validate_depolarization(I, D):
@@ -181,11 +179,11 @@ def validate_depolarization(I, D):
         return False
     # D's constructor checked that the chains are disjoint and in I's ring
     flat = [i for c in D.chains for i in c]
-    A = np.array(I.gens, dtype=np.uint8)
+    A = I._exponents()
     if np.delete(A, flat, axis=1).any():
         return False
-    # both sides in chain order; the polarized rows come out lex sorted
+    # both sides in chain order and lex sorted
     A = A[:, flat]
-    A = A[np.lexsort(A.T[::-1])]
-    rows = _polarize_rows(np.array(D.ideal.gens, dtype=np.int64), D.chains)
-    return np.array_equal(rows, A)
+    rows = _polarize_rows(D.ideal._exponents(), D.chains)
+    return np.array_equal(rows[np.lexsort(rows.T[::-1])],
+                          A[np.lexsort(A.T[::-1])])

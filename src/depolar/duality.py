@@ -59,7 +59,7 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     top = np.array(mu, dtype=np.int64)
     over = (G > top).any(axis=1)
     if over.any():
-        raise InputError(f"dual generator {tuple(G[over.argmax()].tolist())} "
+        raise InputError(f"dual generator {min(map(tuple, G[over].tolist()))} "
                          f"exceeds mu {mu}")
     n = len(mu)
     supports, group = np.unique(G > 0, axis=0, return_inverse=True)
@@ -164,7 +164,7 @@ def dual_complex_via_depolarization(cx, partition=None,
 
     I = clock("facet_ideal", facet_complement_ideal, cx)
     D = clock("depolarize", depolarize, I, partition)
-    report["gens_J"] = len(D.ideal.gens)
+    report["gens_J"] = D.ideal._count()
     Jdual = clock("dual", alexander_dual_ideal, D.ideal)
     G = Jdual._exponents()
     report["gens_Jdual"] = len(G)
@@ -174,7 +174,6 @@ def dual_complex_via_depolarization(cx, partition=None,
     boxes = np.where(G > 0, np.array(mu) + 1 - G, 1)
     report["fiber_elements"] = sum(map(math.prod, boxes.tolist()))
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
-    # repolarize_dual builds its result from words; gens would decode them
-    report["gens_final"] = final.words.shape[1]
+    report["gens_final"] = final._count()
     dual = clock("complements", facet_complement_complex, final)
     return dual, report

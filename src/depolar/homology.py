@@ -202,7 +202,7 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
     """
     _check_modulus(p)
     points = I.lcm_lattice(lattice_cap)
-    G = np.array(I.gens, dtype=np.int64)
+    G = I._exponents()
     P = np.array(points, dtype=np.int64)
     step = max(1, 2_000_000 // G.size)
     by_rows, by_complex, entries = {}, {}, {}

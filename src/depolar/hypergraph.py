@@ -354,8 +354,8 @@ def alexander_dual_ideal(I, a=None, cap=None):
     gets one slot per distinct level its generators ask for, at most a_i,
     and t sets the slots of block i up to t_i.  berge_fold folds the
     generators in, in colex order, on W-word bitsets.  Every dual of the
-    package, complexes included, is computed here.  A squarefree dual
-    (every a_i at most 1) comes back as words, any other as tuples.
+    package, complexes included, is computed here.  The dual is held as
+    words when every exponent of it is 0 or 1, as rows otherwise.
     """
     if I.is_zero:
         raise InputError("the zero ideal dualizes to the unit ideal")
@@ -375,8 +375,4 @@ def alexander_dual_ideal(I, a=None, cap=None):
                                       G > 0)
     T = berge_fold(slot, np.repeat(lo, hi - lo), cap)
     # the top slot set in block i holds t_i
-    exps = slot_levels(T, level, lo, hi)
-    if max(a) <= 1:
-        return MonomialIdeal._of_words(I.ring, rows_to_words(exps))
-    exps = exps[np.lexsort(exps.T[::-1])]
-    return MonomialIdeal._trusted(I.ring, tuple(map(tuple, exps.tolist())))
+    return MonomialIdeal._of_rows(I.ring, slot_levels(T, level, lo, hi))

@@ -1,8 +1,9 @@
 """Monomial ideals as exponent multi-indices, with exact combinatorial arithmetic.
 
-A monomial x^m is identified with its exponent tuple m.  Ideals store only the
-minimal generating set G(I), canonically sorted, so equality of ideals is
-equality of the stored tuples.
+A monomial x^m is identified with its exponent vector m.  Ideals hold only
+the minimal generating set G(I), as one array: words when it is squarefree,
+int rows otherwise.  Its lex-sorted exponent tuples are read from gens, and
+equality of ideals is equality of those tuples.
 """
 
 import itertools
@@ -72,10 +73,6 @@ def total_degree(m):
     return sum(m)
 
 
-def is_squarefree_exponent(m):
-    return all(e <= 1 for e in m)
-
-
 def check_exponent(m, n):
     """Validate and normalize one exponent vector of length n: integers
     (numpy ones too), never floats, strings or bools."""
@@ -104,18 +101,17 @@ def _plain(gens, n):
         not flat or min(flat) >= 0 and max(flat) <= MAX_EXPONENT)
 
 
-def _minimal_of(distinct):
-    """minimalize of a set of checked exponent tuples: the lex-sorted
-    divisibility-minimal ones, tested as containment of their level masks
-    (hypergraph.level_masks)."""
-    if len(distinct) <= 1:
-        return list(distinct)
+def _minimal_of(distinct, n):
+    """The divisibility-minimal rows of a set of checked exponent tuples of
+    length n, as an (N, n) int64 array in no fixed order, tested as
+    containment of their level masks (hypergraph.level_masks)."""
+    G = np.array(list(distinct), dtype=np.int64).reshape(-1, n)
+    if len(G) <= 1:
+        return G
     # hypergraph imports this module, so it is imported here
     from .hypergraph import level_masks, minimal_columns, slot_levels
-    G = np.array(list(distinct), dtype=np.int64)
     masks, level, lo, hi = level_masks(G)
-    keep = slot_levels(minimal_columns(masks), level, lo, hi)
-    return sorted(map(tuple, keep.tolist()))
+    return slot_levels(minimal_columns(masks), level, lo, hi)
 
 
 def minimalize(gens):
@@ -124,20 +120,23 @@ def minimalize(gens):
     if not gens:
         return []
     n = len(gens[0])
-    return _minimal_of({check_exponent(g, n) for g in gens})
+    return sorted(map(tuple, _minimal_of(
+        {check_exponent(g, n) for g in gens}, n).tolist()))
 
 
 class MonomialIdeal:
     """A monomial ideal held by its minimal generating set.
 
-    gens is a lex-sorted tuple of exponent tuples.  The zero ideal has no
-    generators; the unit ideal is rejected.  An ideal the package builds
-    from squarefree bitsets keeps them as words, a (W, N) uint64 array in
-    the layout of hypergraph (variable i is slot i), and decodes gens from
-    them when gens is first read; words is None on every other ideal.
+    The generators are held as exactly one array, in any order: words, a
+    (W, N) uint64 array of vertex sets in the layout of hypergraph
+    (variable i is slot i), when every exponent is 0 or 1, and rows, a
+    read-only (N, n) int64 array, otherwise; the other is None.  gens is
+    the lex-sorted tuple of exponent tuples, decoded from the array when
+    it is first read.  The zero ideal has no generators and holds words;
+    the unit ideal is rejected.
     """
 
-    __slots__ = ("ring", "_gens", "words")
+    __slots__ = ("ring", "_gens", "words", "rows")
 
     def __init__(self, ring, gens):
         if not isinstance(ring, Ring):
@@ -149,25 +148,30 @@ class MonomialIdeal:
             raise InputError("unit ideal is not supported")
         if any(gens[i] >= gens[i + 1] for i in range(len(gens) - 1)):
             raise InputError("generators must be strictly lex sorted; use from_gens")
+        rows = np.array(gens, dtype=np.int64).reshape(-1, ring.n)
         # distinct generators of one degree never divide each other
         if len(set(map(sum, gens))) > 1:
             # hypergraph imports this module, so it is imported here
             from .hypergraph import is_antichain, level_masks
-            if not is_antichain(level_masks(np.array(gens, dtype=np.int64))[0]):
+            if not is_antichain(level_masks(rows)[0]):
                 raise InputError("generators must be minimal; use from_gens")
-        self.ring = ring
-        self._gens = gens
-        self.words = None
+        held = self._of_rows(ring, rows)
+        self.ring, self.words, self.rows = ring, held.words, held.rows
+        self._gens = gens  # just checked: the lex-sorted view
 
     @classmethod
-    def _trusted(cls, ring, gens):
-        """The ideal of gens, a strictly lex-sorted tuple of nonzero,
-        pairwise incomparable exponent tuples of the ring's length, taken
-        unchecked: for rows a caller has just built that way."""
+    def _of_rows(cls, ring, rows):
+        """The ideal of rows, an (N, n) int64 array of nonzero, distinct,
+        pairwise incomparable exponent rows in any order, taken unchecked:
+        held as words when every entry is 0 or 1, as rows if not."""
+        if not rows.size or rows.max() <= 1:
+            # hypergraph imports this module, so it is imported here
+            from .hypergraph import rows_to_words
+            return cls._of_words(ring, rows_to_words(rows))
         ideal = cls.__new__(cls)
-        ideal.ring = ring
-        ideal._gens = gens
-        ideal.words = None
+        ideal.ring, ideal._gens, ideal.words = ring, None, None
+        ideal.rows = rows
+        rows.flags.writeable = False  # as in _of_words
         return ideal
 
     @classmethod
@@ -177,8 +181,7 @@ class MonomialIdeal:
         incomparable vertex sets in any order, taken unchecked: for masks
         a caller has just built that way."""
         ideal = cls.__new__(cls)
-        ideal.ring = ring
-        ideal._gens = None
+        ideal.ring, ideal._gens, ideal.rows = ring, None, None
         ideal.words = words
         words.flags.writeable = False  # gens, once decoded, must stay true
         return ideal
@@ -192,13 +195,17 @@ class MonomialIdeal:
         return self._gens
 
     def _exponents(self):
-        """(N, n) int64 array of the generators: in the order of gens, or
-        of words when the ideal was built from them."""
-        if self.words is not None:
-            # hypergraph imports this module, so it is imported here
-            from .hypergraph import words_to_rows
-            return words_to_rows(self.words, self.n).astype(np.int64)
-        return np.array(self.gens, dtype=np.int64).reshape(-1, self.n)
+        """(N, n) int64 array of the generators in the order they are held:
+        rows, or words decoded."""
+        if self.words is None:
+            return self.rows
+        # hypergraph imports this module, so it is imported here
+        from .hypergraph import words_to_rows
+        return words_to_rows(self.words, self.n).astype(np.int64)
+
+    def _count(self):
+        """The number of minimal generators."""
+        return len(self.rows) if self.words is None else self.words.shape[1]
 
     @classmethod
     def from_gens(cls, ring, gens):
@@ -206,7 +213,7 @@ class MonomialIdeal:
         distinct = {check_exponent(g, ring.n) for g in gens}
         if (0,) * ring.n in distinct:
             raise InputError("unit ideal is not supported")
-        return cls._trusted(ring, tuple(_minimal_of(distinct)))
+        return cls._of_rows(ring, _minimal_of(distinct, ring.n))
 
     @property
     def n(self):
@@ -214,13 +221,10 @@ class MonomialIdeal:
 
     @property
     def is_zero(self):
-        if self.words is not None:
-            return not self.words.shape[1]
-        return not self.gens
+        return not self._count()
 
     def is_squarefree(self):
-        return self.words is not None or all(
-            is_squarefree_exponent(g) for g in self.gens)
+        return self.words is not None
 
     def __eq__(self, other):
         return (isinstance(other, MonomialIdeal)
@@ -243,14 +247,12 @@ class MonomialIdeal:
     def lcm_exponent(self):
         if self.is_zero:
             raise InputError("the zero ideal has no lcm exponent")
-        if self.words is not None:
-            return tuple(self._exponents().max(axis=0).tolist())
-        return tuple(max(col) for col in zip(*self.gens))
+        return tuple(self._exponents().max(axis=0).tolist())
 
     def gcd_exponent(self):
         if self.is_zero:
             raise InputError("the zero ideal has no gcd exponent")
-        return tuple(min(col) for col in zip(*self.gens))
+        return tuple(self._exponents().min(axis=0).tolist())
 
     def monomial_span(self):
         """Componentwise lcm minus gcd of the generators."""
@@ -264,7 +266,7 @@ class MonomialIdeal:
         from .hypergraph import lcm_closure
         if self.is_zero:
             raise InputError("the zero ideal has no lcm lattice")
-        points = lcm_closure(np.array(self.gens, dtype=np.int64), cap)
+        points = lcm_closure(self._exponents(), cap)
         return sorted(map(tuple, points.tolist()))
 
     def to_dict(self):

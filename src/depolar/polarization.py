@@ -108,14 +108,14 @@ def polarize_ideal(I):
     """
     if I.is_zero:
         raise InputError("cannot polarize the zero ideal")
-    G = np.array(I.gens, dtype=np.int64)
+    G = I._exponents()
     a = G.max(axis=0).tolist()
     target = Ring(block_names(I.ring, a))
     chains = [tuple(range(end - k, end))
               for end, k in zip(itertools.accumulate(a), a)]
-    # the rows of G(I) polarized: minimal, and still strictly lex sorted
-    P = MonomialIdeal._trusted(
-        target, tuple(map(tuple, _polarize_rows(G, chains).tolist())))
+    # the rows of G(I) polarized: 0/1, distinct and minimal
+    P = MonomialIdeal._of_words(target,
+                                rows_to_words(_polarize_rows(G, chains)))
     return P, Depolarization(I, chains, target)
 
 
@@ -129,13 +129,12 @@ def expanded_koszul(I):
     """
     if I.is_zero:
         raise InputError("the zero ideal has no expanded Koszul complex")
-    if len(I.gens) == 1:
+    if I._count() == 1:
         return SimplicialComplex((), (0,))
-    G = np.array(I.gens, dtype=np.int64)
-    # dividing every generator by their gcd keeps them sorted, minimal and,
-    # with two or more of them, nonzero
-    colon = MonomialIdeal._trusted(
-        I.ring, tuple(map(tuple, (G - G.min(axis=0)).tolist())))
+    G = I._exponents()
+    # dividing every generator by their gcd keeps them distinct, minimal
+    # and, with two or more of them, nonzero
+    colon = MonomialIdeal._of_rows(I.ring, G - G.min(axis=0))
     return facet_complement_complex(polarize_ideal(colon)[0])
 
 

@@ -1,11 +1,16 @@
 """End-to-end command-line runs through cli.main."""
 
+import contextlib
 import io
 import json
+import pathlib
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from depolar import MonomialIdeal, cli, depolarize, polarize_ideal
 
 
@@ -258,3 +263,118 @@ def test_error_exit_codes(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, argv
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of cli.main on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def ideal_files(draw):
+    """(variables, generators, face_cap): 1-4 variables and one to five
+    nonzero rows with exponents up to 3; one in four cases has a flaw,
+    the zero ideal, a zero row or a row of the wrong length.  face_cap is
+    that of the betti run."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n,
+                                  max_size=n).filter(any),
+                         min_size=1, max_size=5))
+    flaw = draw(st.sampled_from([None] * 9 + ["zero", "unit", "width"]))
+    if flaw == "zero":
+        rows = []
+    elif flaw:
+        rows.append([0] * n if flaw == "unit" else [1] * (n + 1))
+    return ([f"x{i}" for i in range(1, n + 1)], rows,
+            draw(st.sampled_from([None, None, 2, 8])))
+
+
+def name_sets(facets):
+    return sorted(map(sorted, facets))
+
+
+def check_verb(verb, argv, want):
+    """A valid ideal exits 0 (or 3 under a face cap) and prints want(out),
+    else the run exits 2 or 3 with one error line and no output."""
+    code, out, err = run_cli(argv)
+    if code == 0:
+        got, expected = want(json.loads(out))
+        assert got == expected, verb
+        assert err == ""
+    else:
+        assert code in (2, 3), verb
+        assert out == "" and err.startswith("error:"), verb
+        assert err.count("\n") == 1 and "Traceback" not in err, verb
+    return code
+
+
+@given(ideal_files())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_ideal_verbs_match_the_oracles(case):
+    names, rows, cap = case
+    n = len(names)
+    valid = rows and all(len(g) == n and any(g) for g in rows)
+    gens = oracles.minimal_elements(map(tuple, rows)) if valid else []
+    mu = [max(col) for col in zip(*gens)]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = str(pathlib.Path(tmp, "ideal.json"))
+        mapfile = pathlib.Path(tmp, "map.json")
+        pathlib.Path(src).write_text(json.dumps(
+            {"variables": names, "generators": rows}))
+        # the polarization: exponent e on x_i sets x_i_1..x_i_e
+        polar = sorted(tuple(int(j < e) for e, m in zip(g, mu)
+                             for j in range(m)) for g in gens)
+        polar_names = [f"{v}_{j}" for v, m in zip(names, mu)
+                       for j in range(1, m + 1)]
+        codes = [check_verb("polarize", ["polarize", "--in", src], lambda d: (
+            (d["variables"], d["generators"]),
+            (polar_names, [list(g) for g in polar])))]
+
+        def depolarized(d):
+            # each output row counts the source variables of each chain
+            chains = json.loads(mapfile.read_text())["chains"]
+            squarefree = all(e <= 1 for g in gens for e in g)
+            source, where = (gens, names) if squarefree else \
+                (polar, polar_names)
+            index = {v: i for i, v in enumerate(where)}
+            want = oracles.minimal_elements(
+                tuple(sum(g[index[v]] for v in c) for c in chains)
+                for g in source)
+            return d["generators"], [list(g) for g in want]
+        codes.append(check_verb("depolarize", [
+            "depolarize", "--in", src, "--map", str(mapfile)], depolarized))
+        codes.append(check_verb("dual-ideal", ["dual-ideal", "--in", src],
+                                lambda d: (d["generators"], list(map(
+                                    list, oracles.dual_ideal(gens))))))
+
+        def koszul(d):
+            at = mu or [0] * n
+            faces = oracles.koszul_faces(gens, at)
+            return name_sets(d["facets"]), name_sets(
+                [names[i] for i in f] for f in oracles.maximal_sets(faces))
+        codes.append(check_verb("koszul", ["koszul", "--in", src], koszul))
+
+        def ek(d):
+            slots, facets = oracles.expanded_koszul_facets(gens)
+            index = {v: i for i, v in enumerate(d["vertices"])}
+            return (len(d["vertices"]), name_sets(
+                [index[v] for v in f] for f in d["facets"])), \
+                (slots, name_sets(facets))
+        codes.append(check_verb("ek", ["ek", "--in", src], ek))
+
+        def totals(d):
+            out = {}
+            for (i, _), v in oracles.betti_numbers(gens).items():
+                out[i] = out.get(i, 0) + v
+            return d["total"], [v for _, v in sorted(out.items())]
+        capped = [] if cap is None else ["--face-cap", str(cap)]
+        betti = check_verb("betti", ["betti", "--in", src, "--total"] + capped,
+                           totals)
+    if valid:
+        assert codes == [0] * 5 and betti in ((0,) if cap is None else (0, 3))
+    else:
+        assert 0 not in codes[:3] + codes[4:] and betti == 2

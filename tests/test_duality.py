@@ -512,8 +512,8 @@ def test_squarefree_rows_have_one_encoder():
     assert defined == [("hypergraph.py", name) for name in helpers]
     assert gone == []
     src = pathlib.Path(hypergraph.__file__).parent
-    for module in ("complexes.py", "duality.py", "homology.py", "ideals.py",
-                   "polarization.py"):
+    for module in ("complexes.py", "depolarization.py", "duality.py",
+                   "homology.py", "ideals.py", "polarization.py"):
         assert bit_loops(ast.parse((src / module).read_text())) == [], module
 
 
@@ -527,6 +527,53 @@ full = (1 << n) - 1
 rows = np.frombuffer(bytes(flat), dtype=np.uint8)
 """
     assert bit_loops(ast.parse(source)) == [2, 4, 5, 7]
+
+
+def tuple_traffic(tree):
+    """(line, kind) of each call in a tree that moves generators between
+    arrays and tuples: kind "tuples" for tuple(map(tuple, ...)), "gens"
+    for an array built from some ideal's gens."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func, arg = node.func, node.args[0]
+        if getattr(func, "id", None) == "tuple" \
+                and isinstance(arg, ast.Call) and arg.args \
+                and getattr(arg.func, "id", None) == "map" \
+                and getattr(arg.args[0], "id", None) == "tuple":
+            found.append((node.lineno, "tuples"))
+        if getattr(func, "attr", None) in ("array", "asarray") and any(
+                getattr(sub, "attr", None) == "gens" for sub in ast.walk(arg)):
+            found.append((node.lineno, "gens"))
+    return sorted(found)
+
+
+def test_ideals_hold_one_array():
+    # an ideal holds words or int rows, and only ideals.py decodes them
+    # into the tuples of gens: no other module builds generator tuples, no
+    # module reads gens back into an array, and the tuple-taking builder
+    # and the per-tuple squarefree test stay gone
+    src = pathlib.Path(hypergraph.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        found = tuple_traffic(ast.parse(path.read_text()))
+        kinds = {kind for _, kind in found}
+        assert kinds <= ({"tuples"} if path.name == "ideals.py" else set()), \
+            (path.name, kinds)
+    assert not hasattr(MonomialIdeal, "_trusted")
+    assert definitions_and_uses((), ("is_squarefree_exponent",)) == ([], [])
+
+
+def test_tuple_traffic_is_found():
+    source = """
+gens = tuple(map(tuple, rows.tolist()))
+G = np.array(I.gens, dtype=np.int64)
+A = np.asarray(list(D.ideal.gens))
+rows = np.array(gens, dtype=np.int64)
+pairs = tuple(map(list, rows))
+"""
+    assert tuple_traffic(ast.parse(source)) == \
+        [(2, "tuples"), (3, "gens"), (4, "gens")]
 
 
 def test_polarization_has_one_chain_map():

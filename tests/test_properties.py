@@ -1,16 +1,18 @@
 """Randomized invariant suites, deterministic via derandomized hypothesis."""
 
 import itertools
+from unittest import mock
 
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
 import oracles
+from depolar import polarization
 from depolar.ideals import Ring, MonomialIdeal
 from depolar.complexes import (SimplicialComplex, koszul_complex,
                                facet_complement_ideal, alexander_dual_complex,
                                complex_of_squarefree_ideal,
-                               facet_complement_complex)
+                               facet_complement_complex, stanley_reisner_ideal)
 from depolar.polarization import (polarize_ideal, expanded_koszul,
                                   verify_polar_koszul_iso)
 from depolar.depolarization import depolarize
@@ -375,3 +377,119 @@ def test_squarefree_duals_on_words_match_the_oracle(case):
     assert got == want and want == got and hash(got) == hash(want)
     assert repr(got) == repr(want)
     assert got.gens == want.gens
+
+
+@st.composite
+def spread_rows(draw):
+    """(n, rows): 1-130 variables and one to four nonzero exponent rows on
+    at most four of them, often at a word boundary, with exponents up to
+    1, 2 or 30."""
+    n = draw(st.integers(1, 130))
+    spots = sorted(draw(st.sets(st.one_of(
+        st.sampled_from([v for v in BOUNDARY if v < n]),
+        st.integers(0, n - 1)), min_size=1, max_size=4)))
+    emax = draw(st.sampled_from([1, 2, 30]))
+    picks = draw(st.lists(st.dictionaries(
+        st.sampled_from(spots), st.integers(1, emax), min_size=1),
+        min_size=1, max_size=4))
+    return n, [tuple(p.get(i, 0) for i in range(n)) for p in picks]
+
+
+def polar_rows(gens):
+    """The polarization of gens: exponent e on x_i sets the first e of
+    the max_i copies of x_i."""
+    top = [max(col) for col in zip(*gens)]
+    return [tuple(int(j < e) for e, m in zip(g, top) for j in range(m))
+            for g in gens]
+
+
+def collapsed_rows(gens, chains):
+    """Exponent e_c = how many variables of chain c the 0/1 row has."""
+    return [tuple(sum(g[v] for v in c) for c in chains) for g in gens]
+
+
+def dual_rows(gens, a):
+    """Minimal generators of the dual of gens with respect to a, as the
+    intersection of the ideals <x_i^(a_i + 1 - g_i) : g_i > 0>, on the
+    columns the generators use."""
+    used = sorted({i for g in gens for i, e in enumerate(g) if e})
+    out = [(0,) * len(used)]
+    for g in gens:
+        out = oracles.minimal_elements(
+            c[:k] + (max(c[k], a[i] + 1 - g[i]),) + c[k + 1:]
+            for c in out for k, i in enumerate(used) if g[i])
+    return [tuple(dict(zip(used, c)).get(i, 0) for i in range(len(a)))
+            for c in out]
+
+
+def check_held(X, rows):
+    """X holds words exactly when the oracle's rows are 0/1, and reads as
+    the ideal from_gens builds of them."""
+    want = MonomialIdeal.from_gens(X.ring, rows)
+    gens = oracles.minimal_elements(rows)
+    squarefree = all(e <= 1 for g in gens for e in g)
+    assert (X.words is not None) == (want.words is not None) == squarefree
+    assert (X.rows is None) == squarefree
+    assert X.is_squarefree() == want.is_squarefree() == squarefree
+    assert X.is_zero == want.is_zero == (not gens)
+    if gens:
+        assert X.lcm_exponent() == want.lcm_exponent() == \
+            tuple(map(max, zip(*gens)))
+        assert X.gcd_exponent() == want.gcd_exponent() == \
+            tuple(map(min, zip(*gens)))
+    assert X.gens == want.gens == tuple(gens)
+    assert all(a < b for a, b in zip(X.gens, X.gens[1:]))
+    assert X == want and want == X and hash(X) == hash(want)
+    assert repr(X) == repr(want) and X.to_dict() == want.to_dict()
+
+
+@given(spread_rows(), st.lists(st.integers(0, 2), min_size=130,
+                               max_size=130))
+@example((1, [(2,)]), [0] * 130)
+@settings(RUNS, max_examples=80)
+def test_every_builder_holds_words_exactly_when_squarefree(case, extra):
+    n, raw = case
+    R = Ring([f"x{i}" for i in range(n)])
+    gens = oracles.minimal_elements(raw)
+    I = MonomialIdeal.from_gens(R, raw)
+    mu = I.lcm_exponent()
+    a = tuple(m + e for m, e in zip(mu, extra))
+    # the generators raised to a wherever they are nonzero: a dual of 0/1
+    # rows even when a is not squarefree
+    top = oracles.minimal_elements(
+        tuple(x if e else 0 for x, e in zip(a, g)) for g in gens)
+    P, D = polarize_ideal(I)
+    prows = polar_rows(gens)
+    built = [(MonomialIdeal(R, gens), gens), (I, gens),
+             (MonomialIdeal.from_dict(I.to_dict()), gens), (P, prows),
+             (alexander_dual_ideal(I), dual_rows(gens, mu)),
+             (alexander_dual_ideal(I, a), dual_rows(gens, a)),
+             (alexander_dual_ideal(MonomialIdeal.from_gens(R, top), a),
+              dual_rows(top, a))]
+    # depolarize takes a squarefree I as it is, and any other through P
+    source = gens if I.is_squarefree() else prows
+    J = depolarize(I)
+    built.append((J.ideal, collapsed_rows(source, J.chains)))
+    for J in (depolarize(P), depolarize(P, "singleton"),
+              depolarize(P, [c for c in D.chains if c])):
+        built.append((J.ideal, collapsed_rows(prows, J.chains)))
+    if len(gens) > 1:
+        with mock.patch.object(polarization, "polarize_ideal",
+                               wraps=polarization.polarize_ideal) as spy:
+            expanded_koszul(I)
+        gcd = I.gcd_exponent()
+        built.append((spy.call_args.args[0],
+                      [tuple(x - y for x, y in zip(g, gcd)) for g in gens]))
+    cx = facet_complement_complex(P)
+    if cx.kind == "proper":
+        built.append((facet_complement_ideal(cx), prows))
+    if P.n <= 10:
+        # the duals of P by brute force over its 2^n squarefree monomials
+        pdual = oracles.dual_ideal(prows, (1,) * P.n)
+        built.append((repolarize_dual(alexander_dual_ideal(I), mu, D), pdual))
+        if cx.kind == "proper":
+            built.append((stanley_reisner_ideal(cx), pdual))
+    full = SimplicialComplex(R.variables, [(1 << n) - 1])
+    built.append((stanley_reisner_ideal(full), []))
+    for X, rows in built:
+        check_held(X, rows)
