@@ -99,6 +99,8 @@ def _cell_worker(conn, family, params, mem_mb, size_res):
         payload = ("ok", None)
     except (MemoryError, ResourceLimit):
         payload = ("oom", None)
+    except InputError as exc:  # raised again by the parent
+        payload = ("input", str(exc))
     except Exception as exc:  # surfaced by the parent
         payload = ("error", repr(exc))
     try:
@@ -135,6 +137,8 @@ def run_cell(family, params, timeout_s=300, mem_mb=None, size_res=False):
         if proc.is_alive():
             proc.terminate()
         proc.join()
+    if status == "input":
+        raise InputError(payload)
     if status == "error":
         raise RuntimeError(f"bench cell {family} {params} failed: {payload}")
     record.status = status

@@ -78,9 +78,11 @@ def parse_exponents(text, n=None):
     return vec
 
 
-def cmd_gen(args):
-    if args.family not in FAMILY_BUILDERS:
-        raise InputError(f"unknown family {args.family!r}")
+def family_kwargs(args):
+    """Keyword arguments for the builder of args.family, read from the
+    flags of gen or bench; InputError names a flag the family needs."""
+    if args.n is None:
+        raise InputError(f"family {args.family!r} needs --n")
     kwargs = {"n": args.n}
     if args.family in ("power", "varpowers"):
         if args.k is None:
@@ -90,9 +92,15 @@ def cmd_gen(args):
         if args.seq:
             kwargs["seq"] = parse_exponents(args.seq)
     elif args.family == "random":
+        if args.max_gens is None:
+            raise InputError("bench cannot build family 'random'")
         kwargs.update(max_gens=args.max_gens, max_exp=args.max_exp,
                       seed=args.seed)
-    I = FAMILY_BUILDERS[args.family](**kwargs)
+    return kwargs
+
+
+def cmd_gen(args):
+    I = FAMILY_BUILDERS[args.family](**family_kwargs(args))
     emit(args, I.to_dict(), lambda: ideal_text(I))
 
 
@@ -175,10 +183,7 @@ def cmd_bench(args):
     else:
         if not args.family:
             raise InputError("bench needs --table or --family")
-        kwargs = {"n": args.n}
-        if args.k is not None:
-            kwargs["k"] = args.k
-        cells = [(args.family, kwargs)]
+        cells = [(args.family, family_kwargs(args))]
     records, text = bench_mod.bench_dual(
         cells, timeout_s=args.timeout, mem_mb=args.mem_mb,
         size_res=args.size_res)
@@ -304,7 +309,8 @@ def build_parser():
     p.add_argument("--size-res", action="store_true",
                    help="also sum the total Betti numbers per cell")
     add_global_flags(p, suppress=True)
-    p.set_defaults(fn=cmd_bench)
+    # the gen-only family flags, unset
+    p.set_defaults(fn=cmd_bench, seq=None, max_gens=None, max_exp=None)
     return ap
 
 

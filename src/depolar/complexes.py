@@ -15,21 +15,16 @@ import numpy as np
 
 from .hypergraph import (alexander_dual_ideal, bits_of, from_words,
                          is_antichain, minimal_columns, popcounts,
-                         prefix_words, rows_to_words, to_words)
+                         prefix_words, rows_to_words, to_words, width)
 from .ideals import (InputError, MonomialIdeal, ResourceLimit, Ring,
                      check_exponent)
 
 DEFAULT_FACE_CAP = 2 ** 22
 
 
-def _width(n):
-    """Words per vertex set on n vertices."""
-    return max(1, -(-n // 64))
-
-
 def _full(n):
     """(W, 1) words of the set of all n vertices."""
-    return prefix_words(0, np.array([[n]]), _width(n))
+    return prefix_words(0, np.array([[n]]), width(n))
 
 
 def _names(vertices):
@@ -66,7 +61,7 @@ class SimplicialComplex:
 
     def __init__(self, vertices, facets):
         vertices, facets = _checked(vertices, facets)
-        words = to_words(facets, _width(len(vertices)))
+        words = to_words(facets, width(len(vertices)))
         if not is_antichain(words):
             raise InputError("facets must form an antichain")
         words.flags.writeable = False
@@ -105,21 +100,21 @@ class SimplicialComplex:
         """The complex of the maximal masks among int masks in any order."""
         masks = sorted(set(map(operator.index, masks)))
         vertices, masks = _checked(vertices, masks)
-        return cls._of_faces(vertices, to_words(masks, _width(len(vertices))))
+        return cls._of_faces(vertices, to_words(masks, width(len(vertices))))
 
     @classmethod
     def from_faces(cls, vertices, faces):
         """Build from faces given as collections of vertex names."""
-        vertices = tuple(vertices)
+        vertices = _names(vertices)
         index = {v: i for i, v in enumerate(vertices)}
         faces = list(faces)
         rows = np.zeros((len(faces), len(vertices)), dtype=bool)
         for row, face in zip(rows, faces):
             for name in face:
-                if name not in index:
+                if not isinstance(name, str) or name not in index:
                     raise InputError(f"unknown vertex {name!r}")
                 row[index[name]] = True
-        return cls._of_faces(_names(vertices), rows_to_words(rows))
+        return cls._of_faces(vertices, rows_to_words(rows))
 
     @property
     def facets(self):
@@ -212,6 +207,10 @@ class SimplicialComplex:
             facets = data["facets"]
         except (KeyError, TypeError):
             raise InputError("complex JSON needs 'vertices' and 'facets'") from None
+        if not isinstance(vertices, list) or not isinstance(facets, list) \
+                or not all(isinstance(f, list) for f in facets):
+            raise InputError("complex JSON needs a list of vertices and a "
+                             "list of facets, each a list of names")
         return cls.from_faces(vertices, facets)
 
 

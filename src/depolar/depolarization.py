@@ -2,10 +2,9 @@
 
 import numpy as np
 
-from .hypergraph import rows_to_words, words_to_rows
+from .hypergraph import prefix_words, rows_to_words, words_to_rows
 from .ideals import InputError, MonomialIdeal, Ring
-from .polarization import (Depolarization, _chain_tuples, _polarize_rows,
-                           polarize_ideal)
+from .polarization import Depolarization, _chain_tuples, polarize_ideal
 
 
 class SupportPoset:
@@ -182,8 +181,8 @@ def validate_depolarization(I, D):
     A = I._exponents()
     if np.delete(A, flat, axis=1).any():
         return False
-    # both sides in chain order and lex sorted
-    A = A[:, flat]
-    rows = _polarize_rows(D.ideal._exponents(), D.chains)
-    return np.array_equal(rows[np.lexsort(rows.T[::-1])],
-                          A[np.lexsort(A.T[::-1])])
+    # both sides as words in chain order, columns sorted
+    start = np.cumsum([0] + [len(c) for c in D.chains[:-1]])
+    want = rows_to_words(A[:, flat])
+    got = prefix_words(start, start + D.ideal._exponents(), len(want))
+    return np.array_equal(got[:, np.lexsort(got)], want[:, np.lexsort(want)])

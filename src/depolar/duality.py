@@ -13,7 +13,7 @@ import numpy as np
 from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
 from .hypergraph import (_subsets, alexander_dual_ideal, prefix_words,
-                         rows_to_words)
+                         rows_to_words, width)
 from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -38,11 +38,11 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
       holds several generators (a row shared by two boxes is one
       monomial; rows of different supports always differ);
     - each row is tested against the generators whose support lies
-      strictly inside some support of the batch, on prefix masks with one
-      slot per level up to mu, plus a block that only a generator on
-      fewer variables than the row's support fits;
-    - the survivors are named through the chains of D, a Depolarization
-      from depolarize or polarize_ideal.
+      strictly inside some support of the batch, as block-prefix masks
+      with a block of mu_i slots per variable, plus a block that only a
+      generator on fewer variables than the row's support fits;
+    - each survivor is named through the chains of D, a Depolarization
+      from depolarize or polarize_ideal, as the mask of its copies.
 
     cartesian_cap bounds the summed fiber size of one support, checked for
     every support before any row is built.
@@ -87,29 +87,20 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     firsts = np.searchsorted(group, cuts).tolist()
     sizes = np.array(sizes, dtype=np.int64)
     dtype = np.min_scalar_type(max(mu))
-    # variable i gets one slot per level 1..mu_i, and a row sets each block
-    # up to its level, so divisibility is containment of masks; the words
-    # of level v of variable i are column base[i] + v of prefix.  Block n
-    # holds n - 1 levels: a row of support S sets |S| - 1 of them and a
-    # generator on T sets |T|, so it fits the row only when T is smaller.
-    top = np.append(top, n - 1)
-    base = np.cumsum(top + 1) - (top + 1)
-    first = np.repeat(np.cumsum(top) - top, top + 1)
-    levels = np.arange(len(first)) - np.repeat(base, top + 1)
-    prefix = prefix_words(first[:, None], (first + levels)[:, None],
-                          max(1, -(-int(top.sum()) // 64)))
-    base, extra = base[:n], base[n]
+    # variable i gets a block of mu_i slots and a row sets each block up to
+    # its level, so divisibility is containment.  Block n holds n - 1 slots:
+    # a row of support S sets |S| - 1 and a generator on T sets |T|, so it
+    # fits the row only when T is smaller.
+    blocks = np.append(top, n - 1)
+    start = np.cumsum(blocks) - blocks
+    W = width(int(blocks.sum()))
 
     def masks(exps, size):
-        return (np.bitwise_or.reduce(prefix[:, base + exps], axis=2)
-                | prefix[:, extra + size])
-    # column base[i] + c of named sets the bit of the polarized variable of
-    # exponent c on variable i, and no bit at c = 0; an output row is the
-    # OR of the columns of its exponents
-    var = np.array([v for c, m in zip(D.chains, mu)
-                    for v in [0] + list(c[:m])[::-1]], dtype=np.int64)
-    named = prefix_words(var[:, None], (var + (levels[:extra] > 0))[:, None],
-                         max(1, -(-D.source_ring.n // 64)))
+        return prefix_words(start, start + np.column_stack([exps, size]), W)
+    # exponent c > 0 on variable i names copy mu_i - c of chain i, entry
+    # last[i] - c of the chains laid end to end; c = 0 names no variable
+    chained = np.array([v for ch in D.chains for v in ch], dtype=np.int64)
+    last = np.cumsum([0] + [len(ch) for ch in D.chains[:-1]]) + top
     # support t lies inside support s when ~s lies inside ~t
     unused = ~rows_to_words(supports)
     rows = []
@@ -140,7 +131,9 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
             if lower.size:
                 held = masks(part, np.count_nonzero(part, axis=1) - 1)
                 part = part[~_subsets(held, lower)]
-            rows.append(np.bitwise_or.reduce(named[:, base + part], axis=2))
+            v = chained.take(last - part, mode="clip")
+            rows.append(prefix_words(v, v + (part > 0),
+                                     width(D.source_ring.n)))
     # rows of two supports differ; the survivors of one are distinct, minimal
     return MonomialIdeal._of_words(D.source_ring,
                                    np.concatenate(rows, axis=1))

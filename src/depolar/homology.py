@@ -12,7 +12,7 @@ import numpy as np
 
 from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex, koszul_complex,
                         koszul_rows)
-from .hypergraph import from_words, rows_to_words
+from .hypergraph import from_words, rows_to_words, width
 from .ideals import (DEFAULT_LATTICE_CAP, InputError, Ring, check_exponent,
                      total_degree)
 
@@ -232,7 +232,7 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
                 # the rows set no bit past c, so the words past c's are 0
                 cx = SimplicialComplex._of_faces(
                     I.ring.variables[:c],
-                    words[:max(1, -(-c // 64)), start:end])
+                    words[:width(c), start:end])
                 dims = by_complex.get(cx)
                 if dims is None:
                     dims = by_complex[cx] = reduced_homology_dims(

@@ -47,6 +47,11 @@ _LOW = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
 _WORD = (1 << 64) - 1
 
 
+def width(slots):
+    """Words per bitset of that many slots: ceil(slots / 64), at least 1."""
+    return max(1, -(-slots // 64))
+
+
 def _low(k):
     """Words with the low k bits set, k clamped to 0..64."""
     return _LOW.take(k, mode="clip")
@@ -91,7 +96,7 @@ def rows_to_words(rows):
     a row is slot s."""
     rows = np.asarray(rows, dtype=bool)
     n = rows.shape[1]
-    packed = np.zeros((len(rows), 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    packed = np.zeros((len(rows), 8 * width(n)), dtype=np.uint8)
     packed[:, :-(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
     return packed.view("<u8").astype(np.uint64).T
 
@@ -126,8 +131,7 @@ def level_masks(G):
     sets block i up to the slot of g_i, so x^g divides x^h exactly when
     the mask of g is a subset of the mask of h."""
     slot, level, lo, hi = level_slots(G, G > 0)
-    W = max(1, -(-len(level) // 64))
-    return prefix_words(lo, slot + 1, W), level, lo, hi
+    return prefix_words(lo, slot + 1, width(len(level))), level, lo, hi
 
 
 def slot_levels(T, level, lo, hi):
@@ -298,7 +302,7 @@ def berge_fold(hits, starts, cap=None):
     hits = np.sort(np.asarray(hits, dtype=np.int64), axis=1)[:, ::-1]
     starts = np.asarray(starts, dtype=np.int64)
     first = starts[hits]
-    W = max(1, -(-len(starts) // 64))
+    W = width(len(starts))
     prefix = prefix_words(first[..., None], hits[..., None] + 1, W)
     edges = prefix_words(hits, hits + 1, W)
     # Joins from different slots of a row never nest, since a mask that

@@ -280,6 +280,9 @@ class MonomialIdeal:
             generators = data["generators"]
         except (KeyError, TypeError):
             raise InputError("ideal JSON needs 'variables' and 'generators'") from None
+        if not isinstance(variables, list) or not isinstance(generators, list):
+            raise InputError("ideal JSON needs a list of variables and a "
+                             "list of generators")
         return cls.from_gens(Ring(variables), generators)
 
 

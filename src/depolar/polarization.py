@@ -14,7 +14,7 @@ import operator
 import numpy as np
 
 from .complexes import SimplicialComplex, facet_complement_complex, koszul_complex
-from .hypergraph import rows_to_words, words_to_rows
+from .hypergraph import prefix_words, rows_to_words, width, words_to_rows
 from .ideals import InputError, MonomialIdeal, Ring
 
 
@@ -89,33 +89,23 @@ def block_names(ring, sizes):
     return names
 
 
-def _polarize_rows(G, chains):
-    """The exponent rows G (N, len(chains)) polarized along the chains, as
-    0/1 rows in chain order: column t is position j of chain c, set when
-    j < G[:, c].  Lex-sorted rows stay sorted."""
-    lens = np.array([len(c) for c in chains], dtype=np.int64)
-    chain = np.repeat(np.arange(len(lens)), lens)
-    pos = np.arange(len(chain)) - np.repeat(np.cumsum(lens) - lens, lens)
-    return (pos < G[:, chain]).astype(np.uint8)
-
-
 def polarize_ideal(I):
     """Squarefree polarization P of I with bound mu_I, and the chain map
     back: a Depolarization with ideal I and source ring P.ring.
 
     Chain i is the block of the mu_i copies x_i_1.. of x_i, in ring order,
-    so the rows of _polarize_rows are already in P's variable order.
+    so generator g is the mask that sets each block up to g_i.
     """
     if I.is_zero:
         raise InputError("cannot polarize the zero ideal")
     G = I._exponents()
-    a = G.max(axis=0).tolist()
-    target = Ring(block_names(I.ring, a))
-    chains = [tuple(range(end - k, end))
-              for end, k in zip(itertools.accumulate(a), a)]
-    # the rows of G(I) polarized: 0/1, distinct and minimal
-    P = MonomialIdeal._of_words(target,
-                                rows_to_words(_polarize_rows(G, chains)))
+    a = G.max(axis=0)
+    start = np.cumsum(a) - a
+    target = Ring(block_names(I.ring, a.tolist()))
+    chains = [range(s, s + k) for s, k in zip(start.tolist(), a.tolist())]
+    # the generators of I polarized: 0/1, distinct and minimal
+    P = MonomialIdeal._of_words(
+        target, prefix_words(start, start + G, width(target.n)))
     return P, Depolarization(I, chains, target)
 
 

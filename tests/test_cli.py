@@ -257,12 +257,23 @@ def test_error_exit_codes(tmp_path, capsys):
     bad_input = [["homology", "--in", cx, "--mod", m] for m in
                  ("0", "1", "4", "-3")]
     bad_input += [["betti", "--in", src, "--mod", m] for m in ("0", "4")]
+    nulls = [write_json(tmp_path, f"null{i}.json", data) for i, data in
+             enumerate([{"variables": None, "generators": [[1]]},
+                        {"variables": ["x"], "generators": None}])]
     bad_input += [["gen", "--family", "jknm", "--n", "4", "--seq", "a,b"],
                   ["dual-ideal", "--in", floats]]
+    bad_input += [["dual-ideal", "--in", path] for path in nulls]
+    # a missing family flag is caught before a bench cell runs, a bad
+    # value inside the cell's process
+    bad_input += [["bench", "--family", "power", "--n", "3"],
+                  ["bench", "--family", "jknm"],
+                  ["bench", "--family", "random", "--n", "3"],
+                  ["bench", "--family", "varpowers", "--n", "2", "--k", "0"]]
     for argv in bad_input:
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err, argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert "Traceback" not in err, argv
 
 
 def run_cli(argv):
@@ -378,3 +389,66 @@ def test_ideal_verbs_match_the_oracles(case):
         assert codes == [0] * 5 and betti in ((0,) if cap is None else (0, 3))
     else:
         assert 0 not in codes[:3] + codes[4:] and betti == 2
+
+
+@st.composite
+def complex_files(draw):
+    """(text, names, faces, face_cap): the JSON text of a complex on 0-5
+    vertices named v1.. with up to five faces, given as index sets; one
+    case in three has a flaw: text that is not JSON, no facets key, null
+    facets, a facet that is not a list, an unknown or a repeated vertex.
+    faces is None for a flawed case.  face_cap is that of the homology
+    run."""
+    n = draw(st.integers(0, 5))
+    names = [f"v{i}" for i in range(1, n + 1)]
+    faces = [[names[i] for i in range(n) if pick] for pick in draw(
+        st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                 max_size=5))]
+    data = {"vertices": names, "facets": faces}
+    flaw = draw(st.sampled_from([None] * 12 + [
+        "text", "key", "null", "face", "name", "twice"]))
+    if flaw == "key":
+        del data["facets"]
+    elif flaw == "null":
+        data["facets"] = None
+    elif flaw == "face":
+        data["facets"] = faces + [draw(st.sampled_from(["v1", None, 3]))]
+    elif flaw == "name":
+        data["facets"] = faces + [["w"]]
+    elif flaw == "twice":
+        data["vertices"] = names + ["v1", "v1"][min(n, 1):]
+    text = json.dumps(data)
+    if flaw == "text":
+        text = text[:-1]
+    index = {v: i for i, v in enumerate(names)}
+    return (text, names,
+            None if flaw else [{index[v] for v in f} for f in faces],
+            draw(st.sampled_from([None, None, 2, 8])))
+
+
+@given(complex_files())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_complex_verbs_match_the_oracles(case):
+    text, names, faces, cap = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src = str(pathlib.Path(tmp, "complex.json"))
+        pathlib.Path(src).write_text(text)
+        dual = check_verb("dual-complex", ["dual-complex", "--in", src],
+                          lambda d: ((d["vertices"], name_sets(d["facets"])),
+                                     (names, name_sets(
+                                         [names[i] for i in f] for f in
+                                         oracles.alexander_dual_facets(
+                                             faces, len(names))))))
+        capped = [] if cap is None else ["--face-cap", str(cap)]
+        homology = check_verb("homology", ["homology", "--in", src] + capped,
+                              lambda d: (d["dims"],
+                                         oracles.homology_dims(faces)))
+    if faces is None:
+        assert dual == homology == 2
+        return
+    # the round trip needs a proper complex that is not the full simplex
+    proper = any(faces)
+    full = any(len(f) == len(names) for f in faces)
+    assert dual == (0 if proper and not full else 2)
+    assert homology in ((0,) if cap is None else (0, 3))

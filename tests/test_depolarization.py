@@ -306,6 +306,37 @@ def test_accepted_user_partitions_depolarize(rng):
         accepted += 1
         longest = max(longest, max(map(len, chains)))
     assert accepted > 100 and longest >= 3
+    # polarizations on 63 to 130 variables, renamed by a random
+    # permutation so that the chains run out of ring order: the check
+    # compares words past the first.  It fails once copies j - 1 and j of
+    # a chain are swapped where some generator has exponent j: that
+    # generator then sets a set of copies that is no prefix.
+    for total in (63, 64, 65, 128, 130):
+        m = rng.randint(2, 5)
+        a = [2] * m
+        for _ in range(total - 2 * m):
+            a[rng.randrange(m)] += 1
+        gens = [tuple(k * (j == i) for j in range(m)) for i, k in enumerate(a)]
+        gens += [(1, 1) + (0,) * (m - 2)]
+        gens += [tuple(rng.randint(1, k) for k in a) for _ in range(6)]
+        J = MonomialIdeal.from_gens(Ring([f"y{i}" for i in range(m)]), gens)
+        P, D = polarize_ideal(J)
+        assert P.n == total and J.lcm_exponent() == tuple(a)
+        perm = list(range(total))
+        rng.shuffle(perm)  # copy v of P is variable perm[v] of I
+        back = np.argsort(perm)
+        I = MonomialIdeal.from_gens(
+            Ring([P.ring.variables[v] for v in back]),
+            [tuple(g[v] for v in back) for g in P.gens])
+        chains = [[perm[v] for v in c] for c in D.chains]
+        assert any(c != sorted(c) for c in chains)
+        assert validate_depolarization(I, Depolarization(J, chains, I.ring))
+        # the swap latest in chain order
+        j, c = max(((g[c], c) for g in J.gens for c in range(m)
+                    if 0 < g[c] < a[c]), key=lambda jc: D.chains[jc[1]][jc[0]])
+        chains[c][j - 1], chains[c][j] = chains[c][j], chains[c][j - 1]
+        assert not validate_depolarization(
+            I, Depolarization(J, chains, I.ring))
 
 
 @st.composite

@@ -577,20 +577,39 @@ pairs = tuple(map(list, rows))
 
 
 def test_polarization_has_one_chain_map():
-    # polarize_ideal and depolarize share one map type, one polarizer, one
-    # check of the chains and one check that they fit an lcm; the
-    # per-direction map, its dispatcher, the by-hand helpers and the
+    # polarize_ideal and depolarize share one map type, one check of the
+    # chains and one check that they fit an lcm, and polarized monomials
+    # are built by prefix_words alone; the per-direction map, its
+    # dispatcher, the by-hand helpers, the 0/1-row polarizer and the
     # second chain type stay gone
     defined, gone = definitions_and_uses(
-        ("Depolarization", "_polarize_rows", "_chain_tuples", "misfit"),
+        ("Depolarization", "_chain_tuples", "misfit"),
         ("PolarVariableMap", "_blocks_of", "polarize_index", "a_minus",
-         "ChainPartition"))
+         "ChainPartition", "_polarize_rows"))
     assert defined == [("polarization.py", "Depolarization"),
                        ("polarization.py", "_chain_tuples"),
-                       ("polarization.py", "_polarize_rows"),
                        ("polarization.py", "misfit")]
     assert gone == []
     assert "ChainPartition" not in depolar.__all__
+
+
+def word_widths(tree):
+    """Lines of a tree that divide by 64 with //, the words-per-bitset
+    rule written out by hand."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.FloorDiv)
+                  and getattr(node.right, "value", None) == 64)
+
+
+def test_word_width_has_one_home():
+    # hypergraph.width is the one rule for words per bitset
+    src = pathlib.Path(hypergraph.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "hypergraph.py":
+            assert word_widths(ast.parse(path.read_text())) == [], path.name
+    assert word_widths(ast.parse(
+        "W = max(1, -(-n // 64))\nw = s // 8\nx = n / 64\n")) == [1]
 
 
 DUAL_FACETS_OF_EXAMPLE = [

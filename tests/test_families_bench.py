@@ -108,8 +108,12 @@ def test_run_cell_statuses():
     assert r.status == "oom"
     with pytest.raises(InputError):
         run_cell("frobnicate", {})
-    with pytest.raises(RuntimeError):
+    # a bad parameter reaches the parent as the cell raised it, any other
+    # failure in the cell as RuntimeError
+    with pytest.raises(InputError, match="need n >= 1"):
         run_cell("power", {"n": 0, "k": 1})
+    with pytest.raises(RuntimeError, match="TypeError"):
+        run_cell("power", {"n": 2})
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
