@@ -48,8 +48,6 @@ from .ideals import (
     ResourceLimit,
     Ring,
     format_monomial,
-    minimalize,
-    parse_monomial,
 )
 from .polarization import (
     expanded_koszul,
@@ -86,8 +84,6 @@ __all__ = [
     "hochster_betti",
     "koszul_complex",
     "min_chain_partition",
-    "minimalize",
-    "parse_monomial",
     "polarize_ideal",
     "reduced_homology_dims",
     "repolarize_dual",

@@ -23,6 +23,8 @@ from .polarization import polarize_ideal
 
 CSV_SCHEMA = "schema=1"
 
+MAX_TIMEOUT_S = (2 ** 31 - 1) // 1000  # poll(2) counts ms in a C int
+
 
 @dataclass
 class BenchRecord:

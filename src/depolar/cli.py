@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .complexes import SimplicialComplex, koszul_complex
+from .complexes import DEFAULT_FACE_CAP, SimplicialComplex, koszul_complex
 from .depolarization import depolarize
 from .duality import alexander_dual_ideal, dual_complex_via_depolarization
 from .families import FAMILY_BUILDERS
@@ -151,20 +151,28 @@ def cmd_dual_complex(args):
     emit(args, dual.to_dict(), lambda: complex_text(dual))
 
 
-def face_cap_kw(args):
-    return {} if args.face_cap is None else {"face_cap": args.face_cap}
+def check_limits(args):
+    """Refuse a limit no run can keep, before any work starts."""
+    if not 0 < args.timeout <= bench_mod.MAX_TIMEOUT_S:
+        raise InputError(f"--timeout must be in (0, {bench_mod.MAX_TIMEOUT_S}]"
+                         f" seconds, got {args.timeout}")
+    if getattr(args, "mem_mb", None) is not None and args.mem_mb <= 0:
+        raise InputError(f"--mem-mb must be positive, got {args.mem_mb}")
+    if args.face_cap < 0:
+        raise InputError(
+            f"--face-cap must be nonnegative, got {args.face_cap}")
 
 
 def cmd_homology(args):
     cx = load_complex(args.infile)
-    dims = reduced_homology_dims(cx, p=args.mod, **face_cap_kw(args))
+    dims = reduced_homology_dims(cx, args.face_cap, args.mod)
     emit(args, {"dims": dims},
          lambda: " ".join(str(d) for d in dims) + "\n")
 
 
 def cmd_betti(args):
     I = load_ideal(args.infile)
-    table = graded_betti(I, p=args.mod, **face_cap_kw(args))
+    table = graded_betti(I, args.face_cap, p=args.mod)
     if args.quotient:
         table = table.to_quotient()
     if args.total:
@@ -212,7 +220,7 @@ def add_global_flags(parser, suppress=False):
     parser.add_argument("--seed", type=int, default=d(0))
     parser.add_argument("--timeout", type=float, default=d(300.0),
                         help="per-cell benchmark timeout in seconds")
-    parser.add_argument("--face-cap", type=int, default=d(None),
+    parser.add_argument("--face-cap", type=int, default=d(DEFAULT_FACE_CAP),
                         help="abort face enumerations beyond this many faces")
 
 
@@ -318,6 +326,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        check_limits(args)
         args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,9 +155,10 @@ def depolarize(I, partition=None):
         c = chains[chain_of[1:][inner][np.argmin(up)]]
         raise InputError(f"not an ascending chain: {list(c)}")
     # along an ascending chain gens(c_(j+1)) lies inside gens(c_j), so
-    # generator m meets chain c in its first k_c variables
+    # generator m meets chain c in its first k_c variables; the sums are
+    # kept in the narrowest dtype that holds the longest chain
     k = np.add.reduceat(poset.incidence[:, flat], starts, axis=1,
-                        dtype=np.int64)
+                        dtype=np.min_scalar_type(lens.max()))
     ring_out = Ring([I.ring.variables[c[0]] for c in chains])
     # polarizing these rows along the chains gives G(I) back, so they are
     # nonzero, distinct and minimal; the chains are checked above or built

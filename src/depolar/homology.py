@@ -13,10 +13,7 @@ import numpy as np
 from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex, koszul_complex,
                         koszul_rows)
 from .hypergraph import from_words, rows_to_words, width
-from .ideals import (DEFAULT_LATTICE_CAP, InputError, Ring, check_exponent,
-                     total_degree)
-
-DEFAULT_PRIME = 32003
+from .ideals import DEFAULT_LATTICE_CAP, InputError
 
 
 def _check_modulus(p):
@@ -127,7 +124,7 @@ class BettiTable:
         """Counts summed per (homological index, total degree)."""
         out = {}
         for (i, mu), v in self.entries.items():
-            key = (i, total_degree(mu))
+            key = (i, sum(mu))
             out[key] = out.get(key, 0) + v
         return out
 
@@ -146,20 +143,6 @@ class BettiTable:
                 "convention": self.convention,
                 "entries": [{"i": i, "degree": list(mu), "value": v}
                             for (i, mu), v in sorted(self.entries.items())]}
-
-    @classmethod
-    def from_dict(cls, data):
-        try:
-            ring = Ring(tuple(data["variables"]))
-            entries = {}
-            for e in data["entries"]:
-                i, value = check_exponent((e["i"], e["value"]), 2)
-                entries[(i, check_exponent(e["degree"], ring.n))] = value
-            convention = data.get("convention", "ideal")
-        except (KeyError, TypeError, AttributeError):
-            raise InputError("Betti JSON needs 'variables' and 'entries' "
-                             "of 'i', 'degree' and 'value'") from None
-        return cls(ring, entries, convention)
 
     def diagram(self):
         """Macaulay2-style diagram: row j - i, column i."""
@@ -215,17 +198,12 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
         union = np.logical_or.reduceat(rows, ends - counts, axis=0)
         # move the union columns first, in order, so each row of a point
         # reads as a set on vertices 0..c-1
-        inside = np.cumsum(union, axis=1)
-        target = np.where(union, inside, inside[:, -1:] + np.cumsum(
-            ~union, axis=1)) - 1
-        order = np.empty_like(target)
-        np.put_along_axis(order, target, np.arange(G.shape[1])[None, :],
-                          axis=1)
+        order = np.argsort(~union, axis=1, kind="stable")
         words = rows_to_words(np.take_along_axis(rows, order[owner], axis=1))
         keys = from_words(words)
         start = 0
         for mu, end, c in zip(points[lo:lo + step], ends.tolist(),
-                              inside[:, -1].tolist()):
+                              union.sum(axis=1).tolist()):
             key = frozenset(keys[start:end])
             dims = by_rows.get(key)
             if dims is None:

@@ -31,7 +31,7 @@ class ResourceLimit(RuntimeError):
 class Ring:
     """Ordered variable names; the listed order is the ring's variable order."""
 
-    __slots__ = ("variables", "_index")
+    __slots__ = ("variables",)
 
     def __init__(self, variables):
         variables = tuple(variables)
@@ -43,17 +43,10 @@ class Ring:
         if len(set(variables)) != len(variables):
             raise InputError("duplicate variable names")
         self.variables = variables
-        self._index = {v: i for i, v in enumerate(variables)}
 
     @property
     def n(self):
         return len(self.variables)
-
-    def index(self, name):
-        try:
-            return self._index[name]
-        except KeyError:
-            raise InputError(f"unknown variable {name!r}") from None
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.variables == other.variables
@@ -67,10 +60,6 @@ class Ring:
 
 def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
-
-
-def total_degree(m):
-    return sum(m)
 
 
 def check_exponent(m, n):
@@ -114,16 +103,6 @@ def _minimal_of(distinct, n):
     return slot_levels(minimal_columns(masks), level, lo, hi)
 
 
-def minimalize(gens):
-    """Divisibility-minimal subset of a set of exponent vectors, lex sorted."""
-    gens = list(gens)
-    if not gens:
-        return []
-    n = len(gens[0])
-    return sorted(map(tuple, _minimal_of(
-        {check_exponent(g, n) for g in gens}, n).tolist()))
-
-
 class MonomialIdeal:
     """A monomial ideal held by its minimal generating set.
 
@@ -161,16 +140,17 @@ class MonomialIdeal:
 
     @classmethod
     def _of_rows(cls, ring, rows):
-        """The ideal of rows, an (N, n) int64 array of nonzero, distinct,
-        pairwise incomparable exponent rows in any order, taken unchecked:
-        held as words when every entry is 0 or 1, as rows if not."""
+        """The ideal of rows, an (N, n) array of any int dtype holding
+        nonzero, distinct, pairwise incomparable exponent rows in any order,
+        taken unchecked: held as words when every entry is 0 or 1, as rows
+        widened to int64 if not, so a caller may build them narrower."""
         if not rows.size or rows.max() <= 1:
             # hypergraph imports this module, so it is imported here
             from .hypergraph import rows_to_words
             return cls._of_words(ring, rows_to_words(rows))
         ideal = cls.__new__(cls)
         ideal.ring, ideal._gens, ideal.words = ring, None, None
-        ideal.rows = rows
+        ideal.rows = rows = rows.astype(np.int64, copy=False)
         rows.flags.writeable = False  # as in _of_words
         return ideal
 
@@ -296,27 +276,3 @@ def format_monomial(ring, m):
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 
-
-def parse_monomial(ring, text):
-    """Parse 'x^3*y' style monomial text into an exponent tuple."""
-    exps = [0] * ring.n
-    text = text.strip()
-    if text == "1":
-        return tuple(exps)
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise InputError(f"empty factor in monomial {text!r}")
-        name, _, power = factor.partition("^")
-        name = name.strip()
-        if power:
-            try:
-                k = int(power)
-            except ValueError:
-                raise InputError(f"bad exponent {power!r} in {text!r}") from None
-            if k < 1:
-                raise InputError(f"exponent must be >= 1 in {text!r}")
-        else:
-            k = 1
-        exps[ring.index(name)] += k
-    return check_exponent(exps, ring.n)

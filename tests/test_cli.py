@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from depolar import MonomialIdeal, cli, depolarize, polarize_ideal
+from depolar import (FAMILY_BUILDERS, MonomialIdeal, cli, depolarize,
+                     polarize_ideal)
 
 
 def xyz_dict():
@@ -235,7 +238,19 @@ def test_stdin_and_out_file(tmp_path, capsys, monkeypatch):
     assert json.loads(dest.read_text())["generators"] == [[1]]
 
 
-def test_error_exit_codes(tmp_path, capsys):
+def no_cell(*args, **kwargs):
+    raise AssertionError("a bench cell process was started")
+
+
+def assert_refused(argv):
+    """cli.main on argv exits 2 with one error line and no output."""
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith("error:") and err.count("\n") == 1, argv
+    assert "Traceback" not in err, argv
+
+
+def test_error_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert cli.main(["homology", "--in", str(bad)]) == 2
@@ -269,11 +284,21 @@ def test_error_exit_codes(tmp_path, capsys):
                   ["bench", "--family", "jknm"],
                   ["bench", "--family", "random", "--n", "3"],
                   ["bench", "--family", "varpowers", "--n", "2", "--k", "0"]]
+    # a limit no run can keep is refused before any bench cell starts
+    bad_limits = [["bench", "--family", "power", "--n", "2", "--k", "2",
+                   flag, value]
+                  for flag, value in (
+                      ("--mem-mb", "-5"), ("--mem-mb", "0"),
+                      ("--timeout", "-1"), ("--timeout", "0"),
+                      ("--timeout", "inf"), ("--timeout", "1e9"),
+                      ("--face-cap", "-1"))]
+    bad_limits += [["--timeout", "0", "bench", "--table", "3"],
+                   ["betti", "--in", src, "--face-cap", "-1"]]
     for argv in bad_input:
-        assert cli.main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, argv
-        assert "Traceback" not in err, argv
+        assert_refused(argv)
+    monkeypatch.setattr(cli.bench_mod, "run_cell", no_cell)
+    for argv in bad_limits:
+        assert_refused(argv)
 
 
 def run_cli(argv):
@@ -452,3 +477,146 @@ def test_complex_verbs_match_the_oracles(case):
     full = any(len(f) == len(names) for f in faces)
     assert dual == (0 if proper and not full else 2)
     assert homology in ((0,) if cap is None else (0, 3))
+
+
+def with_flags(argv, flags):
+    """argv and the given flags, as --flag=value so that a value such as
+    -1,2 is not read as a flag."""
+    return argv + [f"{flag}={value}" for flag, value in flags.items()
+                   if value is not None]
+
+
+def rarely(bad, good):
+    """A flag's value: None (the flag left out) or one of good, each four
+    times as likely as one of the out-of-range values bad."""
+    return st.sampled_from([None, *good] * 4 + list(bad))
+
+
+@st.composite
+def gen_flags(draw):
+    """(family, flags) of a gen run: n and k up to 4, the random family's
+    counts, a jknm sequence, and the global limits and format, some of
+    them out of range or junk.  None marks a flag left out
+    (--n is required by the parser, so it is always given)."""
+    seqs = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+        lambda seq: ",".join(map(str, sorted(seq, reverse=True))))
+    flags = {"--n": draw(st.sampled_from([1, 2, 3, 4] * 4 + [-1, 0])),
+             "--k": draw(rarely([-1, 0], range(1, 5))),
+             "--max-gens": draw(rarely([-1, 0], range(1, 5))),
+             "--max-exp": draw(rarely([-1, 0], range(1, 5))),
+             "--seed": draw(rarely([], range(3))),
+             "--seq": draw(st.one_of(st.none(), seqs, seqs, st.sampled_from(
+                 ["a,b", "1,,2", "1,2", "-1,2", "0", "1,1,1,1,1"]))),
+             "--timeout": draw(rarely([-1, 0], [30])),
+             "--face-cap": draw(rarely([-1], [0, 5])),
+             "--format": draw(st.sampled_from(["json"] * 7 + ["csv"]))}
+    return draw(st.sampled_from(sorted(FAMILY_BUILDERS))), flags
+
+
+def bad_limit(flags):
+    """Whether flags hold a --timeout or --mem-mb that is not positive or a
+    negative --face-cap (the drawn timeouts stay below the upper bound)."""
+    timeout, mem_mb, face_cap = map(flags.get,
+                                    ("--timeout", "--mem-mb", "--face-cap"))
+    return (timeout is not None and timeout <= 0
+            or mem_mb is not None and mem_mb <= 0
+            or face_cap is not None and face_cap < 0)
+
+
+def family_gens(family, flags):
+    """The generators gen must print for flags, or None when a flag is out
+    of range; [] for power and random, whose output the test checks by
+    their closed properties."""
+    n, k = flags["--n"], flags["--k"]
+    if n < 1 or flags["--format"] != "json" or bad_limit(flags):
+        return None
+    if family in ("power", "varpowers"):
+        if k is None or k < 1:
+            return None
+        return [] if family == "power" else sorted(
+            tuple(k * (i == j) for j in range(n)) for i in range(n))
+    if family == "jknm":
+        seq = flags["--seq"]
+        if seq is None:
+            seq = tuple(range(2 * (n // 2) - 1, 0, -2)) or (1,)
+        elif any(not t.lstrip("-").isdigit() for t in seq.split(",")):
+            return None
+        else:
+            seq = tuple(map(int, seq.split(",")))
+        if len(seq) > n or min(seq) < 1 or list(seq) != sorted(seq)[::-1]:
+            return None
+        # the sum over t of the t-variable products raised to seq[t-1]
+        return oracles.minimal_elements(
+            tuple(m * (i in combo) for i in range(n))
+            for t, m in enumerate(seq, start=1)
+            for combo in itertools.combinations(range(n), t))
+    if any(flags[f] is not None and flags[f] < 1
+           for f in ("--max-gens", "--max-exp")):
+        return None
+    return []
+
+
+@given(gen_flags())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_gen_matches_the_closed_forms(case):
+    family, flags = case
+    argv = with_flags(["gen", "--family", family], flags)
+    want = family_gens(family, flags)
+    if want is None:
+        assert_refused(argv)
+        return
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, ""), argv
+    data = json.loads(out)
+    n, k = flags["--n"], flags["--k"]
+    assert data["variables"] == [f"x{i}" for i in range(1, n + 1)]
+    gens = list(map(tuple, data["generators"]))
+    if family == "power":
+        # all C(n+k-1, k) monomials of degree k, each once
+        assert len(set(gens)) == len(gens) == math.comb(n + k - 1, k)
+        assert all(len(g) == n and sum(g) == k for g in gens)
+    elif family == "random":
+        # a pure function of the seed, within the flags' bounds
+        assert run_cli(argv) == (code, out, err)
+        assert 1 <= len(gens) <= (flags["--max-gens"] or 10)
+        assert all(len(g) == n and 0 <= min(g)
+                   and max(g) <= (flags["--max-exp"] or 3) for g in gens)
+        assert gens == oracles.minimal_elements(gens)
+    else:
+        assert gens == want, argv
+
+
+@st.composite
+def bench_flags(draw):
+    """Flags of a bench run, a preset table or a family with n and k up to
+    4, and the limits, each possibly absent or out of range."""
+    return {"--table": draw(rarely([], "123")),
+            "--family": draw(rarely([], sorted(FAMILY_BUILDERS))),
+            "--n": draw(rarely([-1, 0], range(1, 5))),
+            "--k": draw(rarely([-1, 0], range(1, 5))),
+            "--mem-mb": draw(rarely([-5, 0], [64])),
+            "--timeout": draw(rarely([-1, 0], [30])),
+            "--face-cap": draw(rarely([-1], [3]))}
+
+
+def caught_before_a_cell(flags):
+    """Whether bench must refuse flags before it starts a cell process: a
+    limit out of range, or no cell it can build without running it."""
+    if bad_limit(flags):
+        return True
+    if flags["--table"]:
+        return False
+    family = flags["--family"]
+    return (family is None or family == "random" or flags["--n"] is None
+            or family in ("power", "varpowers") and flags["--k"] is None)
+
+
+@given(bench_flags().filter(caught_before_a_cell))
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_bench_refuses_bad_flags_before_a_cell(flags):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.bench_mod, "run_cell", no_cell)
+        assert_refused(with_flags(["bench"], flags))

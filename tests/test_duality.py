@@ -593,6 +593,17 @@ def test_polarization_has_one_chain_map():
     assert "ChainPartition" not in depolar.__all__
 
 
+def test_no_api_only_tests_read():
+    # the text monomial parser, the Betti JSON reader, the ring-less copy
+    # of from_gens and the helpers only they read stay gone
+    assert definitions_and_uses((), ("parse_monomial", "minimalize",
+                                     "total_degree", "DEFAULT_PRIME")) \
+        == ([], [])
+    assert not hasattr(depolar.BettiTable, "from_dict")
+    assert not hasattr(Ring, "index")
+    assert not {"parse_monomial", "minimalize"} & set(depolar.__all__)
+
+
 def word_widths(tree):
     """Lines of a tree that divide by 64 with //, the words-per-bitset
     rule written out by hand."""
