@@ -89,7 +89,7 @@ def family_kwargs(args):
             raise InputError(f"family {args.family!r} needs --k")
         kwargs["k"] = args.k
     elif args.family == "jknm":
-        if args.seq:
+        if args.seq is not None:
             kwargs["seq"] = parse_exponents(args.seq)
     elif args.family == "random":
         if args.max_gens is None:

@@ -1,8 +1,8 @@
 """Alexander duality of monomial ideals, and dual complexes via depolarization.
 
-alexander_dual_ideal lives beside the Berge fold in hypergraph and is
-imported here; this module carries the dual of a depolarization back to
-the polarized ring.
+alexander_dual_ideal lives beside its two kernels, the Berge fold and the
+staircase grid, in hypergraph and is imported here; this module carries
+the dual of a depolarization back to the polarized ring.
 """
 
 import math
@@ -12,8 +12,8 @@ import numpy as np
 
 from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import (_subsets, alexander_dual_ideal, prefix_words,
-                         rows_to_words, width)
+from .hypergraph import (_dual_plan, _subsets, alexander_dual_ideal,
+                         prefix_words, rows_to_words, width)
 from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -145,7 +145,8 @@ def dual_complex_via_depolarization(cx, partition=None,
 
     Pipeline: facet-complement ideal, depolarize along a chain partition,
     dualize the small ideal, re-polarize its dual, complement the supports.
-    Returns the dual complex and a step report.
+    Returns the dual complex and a step report, which names the kernel
+    alexander_dual_ideal takes on the small ideal and its grid's cells.
     """
     report = {"ms_per_step": {}}
 
@@ -158,6 +159,7 @@ def dual_complex_via_depolarization(cx, partition=None,
     I = clock("facet_ideal", facet_complement_ideal, cx)
     D = clock("depolarize", depolarize, I, partition)
     report["gens_J"] = D.ideal._count()
+    report["dual_kernel"], report["grid_cells"] = _dual_plan(D.ideal)[2:]
     Jdual = clock("dual", alexander_dual_ideal, D.ideal)
     G = Jdual._exponents()
     report["gens_Jdual"] = len(G)

@@ -155,6 +155,7 @@ def test_dual_complex_with_report(tmp_path, capsys):
     rep = json.loads(report.read_text())
     assert (rep["gens_Jdual"], rep["fiber_elements"], rep["gens_final"]) \
         == (4, 54, 15)
+    assert (rep["dual_kernel"], rep["grid_cells"]) == ("grid", 36)
 
 
 def test_dual_complex_over_the_expansion_cap(tmp_path, capsys):
@@ -276,6 +277,7 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch):
              enumerate([{"variables": None, "generators": [[1]]},
                         {"variables": ["x"], "generators": None}])]
     bad_input += [["gen", "--family", "jknm", "--n", "4", "--seq", "a,b"],
+                  ["gen", "--family", "jknm", "--n", "4", "--seq", ""],
                   ["dual-ideal", "--in", floats]]
     bad_input += [["dual-ideal", "--in", path] for path in nulls]
     # a missing family flag is caught before a bench cell runs, a bad

@@ -16,6 +16,7 @@ from depolar import hypergraph
 from depolar.polarization import polarize_ideal
 from depolar.depolarization import depolarize
 from depolar.complexes import (SimplicialComplex, alexander_dual_complex,
+                               facet_complement_complex,
                                facet_complement_ideal)
 
 
@@ -441,7 +442,7 @@ def test_berge_fold_has_one_caller():
 
     for path in sorted(pathlib.Path(hypergraph.__file__).parent.glob("*.py")):
         walk(ast.parse(path.read_text()), None, path.name)
-    assert uses == [("hypergraph.py", "alexander_dual_ideal")]
+    assert uses == [("hypergraph.py", "_fold")]
 
 
 def definitions_and_uses(defined_names, gone_names):
@@ -655,9 +656,26 @@ def test_pipeline_golden_complex():
     assert report["gens_Jdual"] == 4
     assert report["gens_final"] == 15
     assert report["fiber_elements"] == 54
+    # J's levels: 3 of x, 2 of y and 2 of z, so 4 * 3 * 3 cells
+    assert (report["dual_kernel"], report["grid_cells"]) == ("grid", 36)
     assert set(report["ms_per_step"]) == {
         "facet_ideal", "depolarize", "dual", "repolarize", "complements"}
     assert all(t >= 0 for t in report["ms_per_step"].values())
+
+
+def test_pipeline_reports_the_fold():
+    # the edge ideal of a 12-cycle depolarizes to itself: 12 generators on
+    # 12 variables of one level each, 2^12 cells, too many for the grid
+    n = 12
+    R = Ring([f"v{i}" for i in range(n)])
+    I = MonomialIdeal.from_gens(R, [tuple(int(j in (i, (i + 1) % n))
+                                          for j in range(n))
+                                    for i in range(n)])
+    cx = facet_complement_complex(I)
+    dual, report = dual_complex_via_depolarization(cx)
+    assert (report["dual_kernel"], report["grid_cells"]) == ("fold", 2 ** n)
+    assert report["gens_J"] == n
+    assert dual.facets == alexander_dual_complex(cx).facets
 
 
 def test_pipeline_partition_choice():
