@@ -361,10 +361,10 @@ def _staircase(slot, level, lo, hi, cap=None):
     the ideal I that the levels a + 1 - g of alexander_dual_ideal encode,
     in the level_slots layout slot, level, lo, hi of those levels.
 
-    Each used variable is one axis of a grid, with one cell per distinct
-    level and one more: cell j of block i holds the exponents of x_i from
-    the j-th smallest distinct generator exponent up to the next one less
-    one (a_i for the last cell), so I holds all of a cell or none of it.
+    Each used variable x_i is one axis of a grid.  With v_1 < ... < v_k
+    the distinct generator exponents of x_i, cell 0 holds the exponents
+    below v_1, cell j those from v_j to v_(j+1) - 1, and cell k those from
+    v_k to a_i, so I holds all of a cell or none of it.
     A generator marks its own cell; one OR-accumulate per axis closes the
     marks upward into I.  A cell outside I whose next cell on every axis
     is in I, or past the last, is maximal standard, and a minus its upper
