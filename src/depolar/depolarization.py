@@ -38,16 +38,28 @@ def singleton_partition(poset):
     return tuple((i,) for i in poset.elements)
 
 
+# entries of one float64 block in _successors: its column blocks and the
+# intersection sizes of one block of rows stay near 32 MiB each
+_BLOCK = 1 << 22
+
+
 def _successors(cols):
     """Successor lists of the strict order on distinct 0/1 rows: b follows
     a when row b lies strictly inside row a, found from the pairwise
-    intersection sizes, one block of rows at a time."""
-    K = cols.astype(np.float64)  # exact: the counts stay far below 2^53
-    size = K.sum(1)
-    step = max(1, (1 << 22) // len(K))
+    intersection sizes, one block of rows at a time.  Each block's sizes
+    are summed over blocks of columns, each cast to float64 for its own
+    product (exact: the counts stay far below 2^53), so the float copy
+    stays near _BLOCK entries however many columns there are."""
+    size = cols.sum(1)
+    step = max(1, _BLOCK // len(cols))
     out = []
-    for lo in range(0, len(K), step):
+    for lo in range(0, len(cols), step):
+        blocks = (cols[:, c:c + step].astype(np.float64)
+                  for c in range(0, cols.shape[1], step))
+        K = next(blocks)
         inter = K[lo:lo + step] @ K.T
+        for K in blocks:
+            inter += K[lo:lo + step] @ K.T
         inside = (inter == size) & (size[lo:lo + step, None] > size)
         out.extend(np.flatnonzero(row).tolist() for row in inside)
     return out

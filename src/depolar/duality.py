@@ -12,11 +12,81 @@ import numpy as np
 
 from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import (_dual_plan, _subsets, alexander_dual_ideal,
-                         prefix_words, rows_to_words, width)
+from .hypergraph import (_closed_grid, _column_keys, _dual_plan, _subsets,
+                         alexander_dual_ideal, level_slots, prefix_words,
+                         rows_to_words, width)
 from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
+# rows per pass of the divisibility test; bounds the (W, rows, n) temporaries
+_STEP = 2 ** 14
+# survivors named in one pass; bounds the (rows, n) int64 temporaries
+_NAME_STEP = 2 ** 10
+
+
+def _fiber_sizes(G, mu):
+    """Per-variable box sizes (mu + 1 - nu on supp(nu), 1 off it) of the
+    rows nu of G, and each box's size, their product.  A box holds at most
+    prod(mu) rows, so the sizes are int64 when no sum of them can reach
+    2^62, and Python ints otherwise, for the cap check to see unwrapped."""
+    dims = np.where(G > 0, np.array(mu) + 1 - G, 1)
+    if len(G) * math.prod(max(m, 1) for m in mu) < 2 ** 62:
+        return dims, dims.prod(axis=1)
+    return dims, np.array([math.prod(d) for d in dims.tolist()], dtype=object)
+
+
+def _grid_cells(own, top, budget=None):
+    """The union of the boxes own <= c <= top of the rows own, all on one
+    support, as disjoint boxes: the lower corners, per-variable sizes and
+    sizes of the inside cells of their level grid, or None when the grid
+    has more than budget cells.  Each variable of the support is an axis
+    cut at the distinct levels of own there, cell j running from the j-th
+    level to just below the next, the last up to top.  A cell lies wholly
+    inside the union or wholly outside it, and it is inside when some
+    row's cell lies at or below it on every axis."""
+    slot, level, lo, hi = level_slots(own, own > 0)
+    axes = np.flatnonzero(own[0])
+    shape = tuple((hi - lo)[axes].tolist())
+    if budget is not None and math.prod(shape) > budget:
+        return None
+    # the exponent just past each slot's cell: the next level in its block,
+    # top + 1 past the block's last
+    past = np.append(level[1:], 0)
+    past[hi[axes] - 1] = top[axes] + 1
+    cells = np.nonzero(_closed_grid(shape,
+                                    tuple((slot[:, axes] - lo[axes]).T)))
+    corner = np.zeros((len(cells[0]), len(top)), dtype=np.int64)
+    dim = np.ones_like(corner)
+    for ax, cell in zip(axes, cells):
+        at = lo[ax] + cell
+        corner[:, ax] = level[at]
+        dim[:, ax] = past[at] - level[at]
+    return corner, dim, dim.prod(axis=1)
+
+
+def _box_rows(corner, dim, size, dtype):
+    """The rows corner <= c < corner + dim of each box in turn, the last
+    variable running fastest, as a (sum(size), n) array of dtype."""
+    end = np.cumsum(size)
+    c = np.empty((end[-1], corner.shape[1]), dtype=dtype)
+    for lo in range(0, len(c), _STEP):
+        idx = np.arange(lo, min(lo + _STEP, len(c)))
+        at = np.searchsorted(end, idx, side="right")
+        local = idx - (end - size)[at]
+        for k in range(corner.shape[1] - 1, -1, -1):
+            local, r = np.divmod(local, dim[at, k])
+            c[lo:lo + _STEP, k] = corner[at, k] + r
+    return c
+
+
+# A support with several generators is written out from its level grid
+# when cells <= _CELLS_PER_ROW * (rows - _ROWS_OFF), rows its summed box
+# rows.  On the round trip's supports (2-vCPU VM, numpy 2.4.6, min of 30
+# interleaved calls) the grid and the boxes tied near 10 cells a row, and
+# a support of 2 generators and 4 cells tied near 2,000 rows, the cost of
+# setting up its grid.
+_CELLS_PER_ROW = 10
+_ROWS_OFF = 2000
 
 
 def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
@@ -30,22 +100,28 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     inside S divides it, since the row restricted to supp(nu') then lies
     in the fiber of nu'; rows of one support never nest.
 
-    The generators are taken by support, and consecutive supports form a
-    batch whose summed fiber fits one pass of rows; a support with a
-    larger fiber is a batch on its own, passed over in chunks.  Per batch:
+    The generators are taken by support.  The boxes of one support overlap
+    when it holds several generators; their union is written out either
+    as the boxes themselves, duplicate rows dropped by one lexsort, or as
+    the inside cells of the support's level grid (_grid_cells), disjoint
+    boxes that hold each row once.  The grid is taken when its cell count
+    is small next to the summed box rows (_CELLS_PER_ROW, _ROWS_OFF).
+    Consecutive supports form a batch whose rows fit one pass; a larger
+    support is a batch on its own, passed over in chunks.  Per batch:
 
     - every box is enumerated, and duplicate rows dropped when a support
-      holds several generators (a row shared by two boxes is one
-      monomial; rows of different supports always differ);
+      left on its boxes holds several generators (rows of different
+      supports always differ);
     - each row is tested against the generators whose support lies
       strictly inside some support of the batch, as block-prefix masks
       with a block of mu_i slots per variable, plus a block that only a
       generator on fewer variables than the row's support fits;
     - each survivor is named through the chains of D, a Depolarization
-      from depolarize or polarize_ideal, as the mask of its copies.
+      from depolarize or polarize_ideal, as the mask of its copies, in
+      passes of _NAME_STEP rows.
 
-    cartesian_cap bounds the summed fiber size of one support, checked for
-    every support before any row is built.
+    cartesian_cap bounds the summed box rows of one support, checked for
+    every support before any row is built; no support writes more rows.
     """
     if Jdual.is_zero:
         raise InputError("cannot expand the zero ideal")
@@ -62,30 +138,50 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
         raise InputError(f"dual generator {min(map(tuple, G[over].tolist()))} "
                          f"exceeds mu {mu}")
     n = len(mu)
-    supports, group = np.unique(G > 0, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    order = np.argsort(group, kind="stable")
-    G, group = G[order], group[order]
-    dims = np.where(G > 0, top + 1 - G, 1)
-    # Python ints: a product past 2^63 must reach the cap check unwrapped
-    sizes = [math.prod(d) for d in dims.tolist()]
-    totals = [0] * len(supports)
-    for s, size in zip(group.tolist(), sizes):
-        totals[s] += size
-    for total in totals:
-        if total > cartesian_cap:
-            raise ResourceLimit(f"fibers on one support have {total} "
-                                f"elements, cap {cartesian_cap}")
-    step = 2 ** 14  # rows per pass; bounds the (W, rows, n) temporaries
+    # the generators by support, each support's first generator flagged
+    words = rows_to_words(G > 0)
+    key = _column_keys(words)
+    order = np.argsort(key, kind="stable")
+    G, key = G[order], key[order]
+    first = np.r_[True, key[1:] != key[:-1]]
+    group = np.cumsum(first) - 1
+    firsts = np.append(np.flatnonzero(first), len(G))
+    supports = len(firsts) - 1
+    dims, sizes = _fiber_sizes(G, mu)
+    totals = np.add.reduceat(sizes, firsts[:-1])
+    for total in totals[totals > cartesian_cap][:1].tolist():
+        raise ResourceLimit(f"fibers on one support have {total} "
+                            f"elements, cap {cartesian_cap}")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    # a support written out from its grid trades its boxes for the cells
+    several = np.diff(firsts) > 1
+    grids = {}
+    for s in np.flatnonzero(several & (totals > _ROWS_OFF)).tolist():
+        box = _grid_cells(G[firsts[s]:firsts[s + 1]], top,
+                          _CELLS_PER_ROW * (int(totals[s]) - _ROWS_OFF))
+        if box is not None:
+            grids[s] = box
+    corner, dim, size, owner = G, dims, sizes, group
+    if grids:
+        keep = ~np.isin(group, list(grids))
+        corner, dim, size, owner = map(np.concatenate, zip(
+            (G[keep], dims[keep], sizes[keep], group[keep]),
+            *(box + (np.full(len(box[2]), s),) for s, box in grids.items())))
+        sort = np.argsort(owner, kind="stable")
+        corner, dim, size, owner = (part[sort]
+                                    for part in (corner, dim, size, owner))
+        totals = np.add.reduceat(size, np.searchsorted(owner,
+                                                       np.arange(supports)))
+        several[list(grids)] = False
+    several = several.tolist()
     cuts, load = [0], 0
-    for s, total in enumerate(totals):
-        if load and load + total > step:
+    for s, total in enumerate(totals.tolist()):
+        if load and load + total > _STEP:
             cuts.append(s)
             load = 0
         load += total
-    cuts.append(len(supports))
-    firsts = np.searchsorted(group, cuts).tolist()
-    sizes = np.array(sizes, dtype=np.int64)
+    cuts.append(supports)
+    bounds = np.searchsorted(owner, cuts).tolist()
     dtype = np.min_scalar_type(max(mu))
     # variable i gets a block of mu_i slots and a row sets each block up to
     # its level, so divisibility is containment.  Block n holds n - 1 slots:
@@ -102,20 +198,11 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     chained = np.array([v for ch in D.chains for v in ch], dtype=np.int64)
     last = np.cumsum([0] + [len(ch) for ch in D.chains[:-1]]) + top
     # support t lies inside support s when ~s lies inside ~t
-    unused = ~rows_to_words(supports)
+    unused = ~words[:, order[first]]
     rows = []
-    for s0, s1, g0, g1 in zip(cuts, cuts[1:], firsts, firsts[1:]):
-        own, dim, size = G[g0:g1], dims[g0:g1], sizes[g0:g1]
-        end = np.cumsum(size)
-        c = np.empty((end[-1], n), dtype=dtype)
-        for lo in range(0, len(c), step):
-            idx = np.arange(lo, min(lo + step, len(c)))
-            owner = np.searchsorted(end, idx, side="right")
-            local = idx - (end - size)[owner]
-            for k in range(n - 1, -1, -1):
-                local, r = np.divmod(local, dim[owner, k])
-                c[lo:lo + step, k] = own[owner, k] + r
-        if g1 - g0 > s1 - s0:
+    for s0, s1, b0, b1 in zip(cuts, cuts[1:], bounds, bounds[1:]):
+        c = _box_rows(corner[b0:b1], dim[b0:b1], size[b0:b1], dtype)
+        if any(several[s0:s1]):
             c = c[np.lexsort(c.T)]
             c = c[np.r_[True, (c[1:] != c[:-1]).any(axis=1)]]
         # cover[t]: the supports of the batch that hold support t, less t
@@ -126,14 +213,16 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
         lower = G[(cover > 0)[group]]
         if lower.size:
             lower = masks(lower, np.count_nonzero(lower, axis=1))
-        for lo in range(0, len(c), step):
-            part = c[lo:lo + step]
+        for lo in range(0, len(c), _STEP):
+            part = c[lo:lo + _STEP]
             if lower.size:
                 held = masks(part, np.count_nonzero(part, axis=1) - 1)
                 part = part[~_subsets(held, lower)]
-            v = chained.take(last - part, mode="clip")
-            rows.append(prefix_words(v, v + (part > 0),
-                                     width(D.source_ring.n)))
+            for lo2 in range(0, len(part), _NAME_STEP):
+                named = part[lo2:lo2 + _NAME_STEP]
+                v = chained.take(last - named, mode="clip")
+                rows.append(prefix_words(v, v + (named > 0),
+                                         width(D.source_ring.n)))
     # rows of two supports differ; the survivors of one are distinct, minimal
     return MonomialIdeal._of_words(D.source_ring,
                                    np.concatenate(rows, axis=1))
@@ -153,21 +242,22 @@ def dual_complex_via_depolarization(cx, partition=None,
     def clock(name, fn, *args, **kwargs):
         t0 = time.perf_counter()
         val = fn(*args, **kwargs)
-        report["ms_per_step"][name] = (time.perf_counter() - t0) * 1000.0
+        report["ms_per_step"][name] = (report["ms_per_step"].get(name, 0.0)
+                                       + (time.perf_counter() - t0) * 1000.0)
         return val
 
     I = clock("facet_ideal", facet_complement_ideal, cx)
     D = clock("depolarize", depolarize, I, partition)
     report["gens_J"] = D.ideal._count()
-    report["dual_kernel"], report["grid_cells"] = _dual_plan(D.ideal)[2:]
-    Jdual = clock("dual", alexander_dual_ideal, D.ideal)
+    plan = clock("dual", _dual_plan, D.ideal)
+    report["dual_kernel"], report["grid_cells"] = plan[2:]
+    Jdual = clock("dual", alexander_dual_ideal, D.ideal, _plan=plan)
     G = Jdual._exponents()
     report["gens_Jdual"] = len(G)
     mu = D.ideal.lcm_exponent()
-    # the rows repolarize_dual builds before it drops duplicates and
-    # non-minimal ones: the box mu + 1 - nu on supp(nu) of each generator
-    boxes = np.where(G > 0, np.array(mu) + 1 - G, 1)
-    report["fiber_elements"] = sum(map(math.prod, boxes.tolist()))
+    # the summed box mu + 1 - nu on supp(nu) of each generator, the rows
+    # repolarize_dual's cap bounds
+    report["fiber_elements"] = int(_fiber_sizes(G, mu)[1].sum())
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
     report["gens_final"] = final._count()
     dual = clock("complements", facet_complement_complex, final)

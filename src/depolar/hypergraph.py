@@ -19,7 +19,9 @@ picked by _dual_plan from the layout's level counts alone.  _staircase
 reads the dual off a dense grid of the levels, one axis per used variable:
 the maximal standard cells of the ideal give the dual generators.  It
 pays on few variables with many generators, the compact side of a
-depolarization.  berge_fold serves every other input.  It tests the joins
+depolarization.  Its upward closure, _closed_grid, is the level grid
+helper that repolarize_dual shares to write out the union of the boxes
+of one support.  berge_fold serves every other input.  It tests the joins
 of a row only against the masks that meet the row exactly once: a join
 sets one slot of the row, so any mask inside it meets the row once, at
 that slot.  On a row of first slots only (every squarefree row) a join
@@ -157,6 +159,15 @@ def _distinct(keys):
     return keys[first], order[first]
 
 
+def _column_keys(arr):
+    """(N,) keys of the columns of a (W, N) array, equal exactly when the
+    columns are: the word itself when W is 1, the W words' bytes as one
+    void key otherwise."""
+    W = len(arr)
+    key_type = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
+    return np.ascontiguousarray(arr.T).view(key_type).ravel()
+
+
 def lcm_closure(G, cap):
     """Exponent rows of the lcms of all nonempty subsets of the distinct
     exponent rows G (N, n), in no fixed order.
@@ -170,11 +181,7 @@ def lcm_closure(G, cap):
     """
     masks, level, lo, hi = level_masks(G)
     W = len(masks)
-    key_type = np.uint64 if W == 1 else np.dtype((np.void, 8 * W))
-
-    def keys(arr):
-        return np.ascontiguousarray(arr.T).view(key_type).ravel()
-    seen = np.sort(keys(masks))
+    seen = np.sort(_column_keys(masks))
     parts = [masks]
     frontier = masks
     total = masks.shape[1]
@@ -184,7 +191,7 @@ def lcm_closure(G, cap):
         for i in range(0, frontier.shape[1], step):
             joins = (frontier[:, i:i + step, None]
                      | masks[:, None, :]).reshape(W, -1)
-            k, idx = _distinct(keys(joins))
+            k, idx = _distinct(_column_keys(joins))
             pos = np.minimum(np.searchsorted(seen, k), len(seen) - 1)
             fresh = seen[pos] != k
             new_keys.append(k[fresh])
@@ -356,6 +363,22 @@ def berge_fold(hits, starts, cap=None):
     return T
 
 
+def _closed_grid(shape, marks):
+    """Bool grid of the given shape holding the upward closure of the cells
+    marks, one index array per axis: a cell is set when some marked cell
+    lies at or below it on every axis.  Each axis is closed in place by an
+    OR of every slab into the next, one numpy call per whole slab, which
+    beats np.logical_or.accumulate's walk along the axis several times
+    over on grids of three or more axes."""
+    grid = np.zeros(shape, dtype=bool)
+    grid[marks] = True
+    for ax in range(grid.ndim):
+        slabs = np.swapaxes(grid, 0, ax)
+        for j in range(1, len(slabs)):
+            slabs[j] |= slabs[j - 1]
+    return grid
+
+
 def _staircase(slot, level, lo, hi, cap=None):
     """(N, n) rows of the generators a - c, c a maximal standard monomial of
     the ideal I that the levels a + 1 - g of alexander_dual_ideal encode,
@@ -365,8 +388,8 @@ def _staircase(slot, level, lo, hi, cap=None):
     the distinct generator exponents of x_i, cell 0 holds the exponents
     below v_1, cell j those from v_j to v_(j+1) - 1, and cell k those from
     v_k to a_i, so I holds all of a cell or none of it.
-    A generator marks its own cell; one OR-accumulate per axis closes the
-    marks upward into I.  A cell outside I whose next cell on every axis
+    A generator marks its own cell, and _closed_grid closes the marks
+    upward into I.  A cell outside I whose next cell on every axis
     is in I, or past the last, is maximal standard, and a minus its upper
     corner sets each variable to the level of the slot just above that
     corner, 0 for the last cell.  cap bounds the number of rows, which
@@ -375,10 +398,8 @@ def _staircase(slot, level, lo, hi, cap=None):
     axes = np.flatnonzero(hi > lo)
     top, sub = hi[axes], slot[:, axes]
     # the largest exponent gets the smallest level, slot lo; 0 is cell 0
-    grid = np.zeros(tuple((top - lo[axes] + 1).tolist()), dtype=bool)
-    grid[tuple(np.where(sub >= 0, top - sub, 0).T)] = True
-    for ax in range(len(axes)):
-        np.logical_or.accumulate(grid, axis=ax, out=grid)
+    grid = _closed_grid(tuple((top - lo[axes] + 1).tolist()),
+                        tuple(np.where(sub >= 0, top - sub, 0).T))
     maximal = ~grid
     for ax in range(len(axes)):
         np.swapaxes(maximal, 0, ax)[:-1] &= np.swapaxes(grid, 0, ax)[1:]
@@ -404,10 +425,15 @@ def _fold(G, slot, level, lo, hi, cap=None):
     return slot_levels(T, level, lo, hi)
 
 
-# the grid is taken when axes * cells <= _GRID_PER_GEN * generators.  On
-# random ideals of 4-7 variables (2-vCPU VM, numpy 2.4.6, min of 7 runs)
-# the grid was faster up to a ratio of about 2,250 and slower past 2,500.
-_GRID_PER_GEN = 2000
+# the grid is taken when axes * cells <= _GRID_PER_GEN * generators.  With
+# the slab-wise closure (2-vCPU VM, numpy 2.4.6, min of 15 alternating
+# runs) the grid was faster on random ideals of 5-7 variables up to a
+# ratio of 12,500 (0.45-0.76 against 0.55-1.10 ms), on m^(6,8) (2,478:
+# 6.5 against 28.6 ms), m^(7,6) (6,239: 11.2 against 18.8 ms) and m^(7,7)
+# (8,555: 30 against 44 ms), and tied on m^(8,4) (9,470: 6.5 against 6.7
+# ms); it was slower on m^(8,5) (16,966: 32 against 29 ms), jknm(8)
+# (19,290: 6.5 against 6.0 ms) and jknm(9) (68,934: 35 against 9 ms).
+_GRID_PER_GEN = 10000
 # numpy 1.24 arrays have at most 32 axes
 _GRID_AXES = 32
 
@@ -437,7 +463,7 @@ def _dual_plan(I, a=None):
     return G, (slot, level, lo, hi), "grid" if grid else "fold", cells
 
 
-def alexander_dual_ideal(I, a=None, cap=None):
+def alexander_dual_ideal(I, a=None, cap=None, *, _plan=None):
     """Minimal generators of the Alexander dual of I with respect to a.
 
     a defaults to the lcm exponent of I and must dominate it.  The dual is
@@ -450,9 +476,10 @@ def alexander_dual_ideal(I, a=None, cap=None):
     give the same rows, and cap bounds their count: the fold's state after
     every generator, the grid's result.  Every dual of the package,
     complexes included, is computed here.  The dual is held as words when
-    every exponent of it is 0 or 1, as rows otherwise.
+    every exponent of it is 0 or 1, as rows otherwise.  _plan is
+    _dual_plan(I, a) when the caller has already made it.
     """
-    G, layout, kernel, _ = _dual_plan(I, a)
+    G, layout, kernel, _ = _plan or _dual_plan(I, a)
     rows = (_staircase(*layout, cap) if kernel == "grid"
             else _fold(G, *layout, cap))
     return MonomialIdeal._of_rows(I.ring, rows)

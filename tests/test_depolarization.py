@@ -118,6 +118,22 @@ def test_chain_partitions_brute_force():
     assert sing in canon
 
 
+@pytest.mark.parametrize("block", [1, 6, 40, 1 << 22])
+def test_successors_in_blocks(monkeypatch, block):
+    # the successor lists do not depend on how the products are blocked:
+    # blocks of one row or column, a few of each, and one block
+    monkeypatch.setattr(depolarization, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    cols = rng.random((12, 30)) < 0.5
+    cols = cols[np.unique(cols, axis=0, return_index=True)[1]]
+    cols[:3] = cols[3] | cols[:3]  # some rows strictly above row 3
+    cols = cols[np.unique(cols, axis=0, return_index=True)[1]]
+    want = [[b for b in range(len(cols))
+             if (cols[b] <= cols[a]).all() and cols[b].sum() < cols[a].sum()]
+            for a in range(len(cols))]
+    assert depolarization._successors(cols) == want
+
+
 def test_depolarize_golden_partitions():
     I = ex_ideal()
     p1 = [(3, 0, 1, 2), (6, 7, 9, 4, 5), (8,)]

@@ -12,7 +12,7 @@ from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.duality import (alexander_dual_ideal, repolarize_dual,
                              dual_complex_via_depolarization)
 import depolar
-from depolar import hypergraph
+from depolar import duality, hypergraph
 from depolar.polarization import polarize_ideal
 from depolar.depolarization import depolarize
 from depolar.complexes import (SimplicialComplex, alexander_dual_complex,
@@ -663,10 +663,37 @@ def test_pipeline_golden_complex():
     assert all(t >= 0 for t in report["ms_per_step"].values())
 
 
+def test_pipeline_plans_the_dual_once(monkeypatch):
+    # the report's kernel and cells come from the one plan the dual runs
+    # on, and the round trip still calls alexander_dual_ideal and
+    # repolarize_dual by their names in depolar.duality, where a tracer
+    # may wrap them
+    calls = dict.fromkeys(("plan", "dual", "repolarize"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    plan = counted("plan", hypergraph._dual_plan)
+    monkeypatch.setattr(hypergraph, "_dual_plan", plan)
+    monkeypatch.setattr(duality, "_dual_plan", plan)
+    for key, name in (("dual", "alexander_dual_ideal"),
+                      ("repolarize", "repolarize_dual")):
+        monkeypatch.setattr(duality, name,
+                            counted(key, getattr(duality, name)))
+    dual, report = dual_complex_via_depolarization(example_complex())
+    assert calls == {"plan": 1, "dual": 1, "repolarize": 1}
+    assert (report["dual_kernel"], report["grid_cells"]) == ("grid", 36)
+    assert report["fiber_elements"] == 54
+    monkeypatch.undo()
+    assert dual.facets == alexander_dual_complex(example_complex()).facets
+
+
 def test_pipeline_reports_the_fold():
-    # the edge ideal of a 12-cycle depolarizes to itself: 12 generators on
-    # 12 variables of one level each, 2^12 cells, too many for the grid
-    n = 12
+    # the edge ideal of a 16-cycle depolarizes to itself: 16 generators on
+    # 16 variables of one level each, 2^16 cells, too many for the grid
+    n = 16
     R = Ring([f"v{i}" for i in range(n)])
     I = MonomialIdeal.from_gens(R, [tuple(int(j in (i, (i + 1) % n))
                                           for j in range(n))

@@ -7,13 +7,14 @@ rule in _dual_plan picks for the input.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from depolar import hypergraph
-from depolar.hypergraph import (_dual_plan, _fold, _staircase,
-                                alexander_dual_ideal)
+from depolar.hypergraph import (_closed_grid, _dual_plan, _fold,
+                                _staircase, alexander_dual_ideal)
 from depolar.ideals import MonomialIdeal, ResourceLimit, Ring
 
 RUNS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -147,3 +148,35 @@ def test_grid_cap_bounds_the_dual():
         with pytest.raises(ResourceLimit) as err:
             alexander_dual_ideal(I, cap=cap)
         assert str(err.value) == f"{size} minimal masks exceed cap {cap}"
+
+
+def accumulated(shape, marks):
+    grid = np.zeros(shape, dtype=bool)
+    grid[marks] = True
+    for ax in range(len(shape)):
+        np.logical_or.accumulate(grid, axis=ax, out=grid)
+    return grid
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=10), st.data())
+@RUNS
+def test_closed_grid_matches_accumulate(shape, data):
+    # the slab-wise closure against one logical_or.accumulate per axis,
+    # on 1-10 axes, length-1 axes among them
+    shape = tuple(shape)
+    flat = data.draw(st.lists(st.integers(0, math.prod(shape) - 1),
+                              max_size=8))
+    marks = np.unravel_index(np.array(flat, dtype=np.int64), shape)
+    assert np.array_equal(_closed_grid(shape, marks),
+                          accumulated(shape, marks))
+
+
+def test_closed_grid_fixed_shapes():
+    rng = np.random.default_rng(5)
+    for shape in [(1,), (7,), (1, 1), (1, 5), (5, 1), (2, 1, 3, 1), (1,) * 10,
+                  (3, 2, 1, 2, 3, 1, 2, 1, 2, 2)]:
+        for count in (0, 1, 3):
+            marks = tuple(rng.integers(0, k, size=count) for k in shape)
+            got = _closed_grid(shape, marks)
+            assert got.shape == shape
+            assert np.array_equal(got, accumulated(shape, marks))
