@@ -62,7 +62,7 @@ def test_grid_rows_are_the_union_of_the_boxes(case):
     boxes = _box_rows(own, dims, sizes, np.int64)
     corner, dim, size = _grid_cells(own, np.array(mu))
     grid = _box_rows(corner, dim, size, np.int64)
-    # the cells are disjoint boxes: no row twice, and none outside [1, mu]
+    # the cells are disjoint boxes, so no row comes twice
     assert len({tuple(r) for r in grid.tolist()}) == len(grid) == size.sum()
     assert {tuple(r) for r in grid.tolist()} == {tuple(r)
                                                  for r in boxes.tolist()}
