@@ -12,9 +12,9 @@ import numpy as np
 
 from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import (_closed_grid, _column_keys, _dual_plan, _subsets,
-                         alexander_dual_ideal, level_slots, prefix_words,
-                         rows_to_words, width)
+from .hypergraph import (_GRID_AXES, _closed_grid, _column_keys, _dual_plan,
+                         _subsets, alexander_dual_ideal, level_slots,
+                         prefix_words, rows_to_words, width)
 from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -39,24 +39,30 @@ def _grid_cells(own, top, budget=None):
     """The union of the boxes own <= c <= top of the rows own, all on one
     support, as disjoint boxes: the lower corners, per-variable sizes and
     sizes of the inside cells of their level grid, or None when the grid
-    has more than budget cells.  Each variable of the support is an axis
-    cut at the distinct levels of own there, cell j running from the j-th
-    level to just below the next, the last up to top.  A cell lies wholly
-    inside the union or wholly outside it, and it is inside when some
-    row's cell lies at or below it on every axis."""
+    has more than budget cells or more than _GRID_AXES axes.  Each
+    variable of the support on which own takes several levels is an axis
+    cut at those levels, cell j running from the j-th level to just below
+    the next, the last up to top; on a variable of one level every box
+    runs from that level to top.  A cell lies wholly inside the union or
+    wholly outside it, and it is inside when some row's cell lies at or
+    below it on every axis."""
     slot, level, lo, hi = level_slots(own, own > 0)
-    axes = np.flatnonzero(own[0])
+    axes = np.flatnonzero(hi - lo > 1)
     shape = tuple((hi - lo)[axes].tolist())
-    if budget is not None and math.prod(shape) > budget:
+    if len(axes) > _GRID_AXES or (budget is not None
+                                  and math.prod(shape) > budget):
         return None
+    # a single row has a grid of no axes and one cell
+    cells = np.nonzero(np.atleast_1d(_closed_grid(
+        shape, tuple((slot[:, axes] - lo[axes]).T))))
+    # off the axes every box runs from own's one level to top, or is 0
+    corner = np.repeat(own[:1], len(cells[0]), axis=0)
+    dim = np.repeat(np.where(own[:1] > 0, top + 1 - own[:1], 1),
+                    len(cells[0]), axis=0)
     # the exponent just past each slot's cell: the next level in its block,
     # top + 1 past the block's last
     past = np.append(level[1:], 0)
     past[hi[axes] - 1] = top[axes] + 1
-    cells = np.nonzero(_closed_grid(shape,
-                                    tuple((slot[:, axes] - lo[axes]).T)))
-    corner = np.zeros((len(cells[0]), len(top)), dtype=np.int64)
-    dim = np.ones_like(corner)
     for ax, cell in zip(axes, cells):
         at = lo[ax] + cell
         corner[:, ax] = level[at]

@@ -72,6 +72,17 @@ def test_grid_rows_are_the_union_of_the_boxes(case):
     assert named(grid, mu, D) == want == named(boxes, mu, D)
 
 
+def repolarized_with(Jd, mu, D, grid):
+    """repolarize_dual with its rule sent to the grid or to the boxes."""
+    old = duality._CELLS_PER_ROW, duality._ROWS_OFF
+    duality._CELLS_PER_ROW, duality._ROWS_OFF = (10 ** 9, 0) if grid \
+        else (0, 10 ** 9)
+    try:
+        return repolarize_dual(Jd, mu, D)
+    finally:
+        duality._CELLS_PER_ROW, duality._ROWS_OFF = old
+
+
 @given(st.integers(1, 5), st.lists(
     st.tuples(*[st.integers(0, 4)] * 5).filter(any), min_size=1,
     max_size=12), st.booleans())
@@ -85,15 +96,34 @@ def test_repolarize_either_way_matches_the_oracle(n, gens, grid):
     mu = tuple(max(m, 1) for m in Jd.lcm_exponent())
     D = chains_of(mu)
     want = oracles.repolarized_dual(Jd.gens, mu, D.chains)
-    old = duality._CELLS_PER_ROW, duality._ROWS_OFF
-    duality._CELLS_PER_ROW, duality._ROWS_OFF = (10 ** 9, 0) if grid \
-        else (0, 10 ** 9)
-    try:
-        got = repolarize_dual(Jd, mu, D)
-    finally:
-        duality._CELLS_PER_ROW, duality._ROWS_OFF = old
+    got = repolarized_with(Jd, mu, D, grid)
     assert sorted((frozenset(i for i, e in enumerate(g) if e)
                    for g in got.gens), key=oracles.set_key) == want
+
+
+def test_grid_axes_are_the_variables_of_several_levels():
+    # 33 variables, 31 of them at one level: the grid has 2 axes and 4
+    # cells, while numpy 1.24 arrays hold at most 32 axes
+    mu = (1,) * 31 + (100, 100)
+    gens = [(1,) * 31 + (1, 50), (1,) * 31 + (50, 1)]
+    Jd = MonomialIdeal.from_gens(ring(33), gens)
+    own = Jd._exponents()
+    corner, dim, size = _grid_cells(own, np.array(mu))
+    assert len(size) == 3 and size.sum() == 100 * 100 - 49 * 49
+    dims, sizes = _fiber_sizes(own, mu)
+    assert {tuple(r) for r in _box_rows(corner, dim, size, np.int64)
+            .tolist()} == {tuple(r) for r in _box_rows(own, dims, sizes,
+                                                       np.int64).tolist()}
+    # the default rule takes this grid, 4 cells against 10,200 box rows
+    assert duality._CELLS_PER_ROW * (sizes.sum() - duality._ROWS_OFF) >= 4
+    D = chains_of(mu)
+    got = repolarize_dual(Jd, mu, D)
+    assert len(got.gens) == size.sum()
+    assert got == repolarized_with(Jd, mu, D, grid=False)
+    # 33 variables of two levels each are more axes than a grid may have
+    many = MonomialIdeal.from_gens(ring(33), [(1, 2) * 16 + (1,),
+                                              (2, 1) * 16 + (2,)])
+    assert _grid_cells(many._exponents(), np.full(33, 2)) is None
 
 
 def test_sizes_past_int64_reach_the_cap_unwrapped():

@@ -158,25 +158,41 @@ def accumulated(shape, marks):
     return grid
 
 
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=10), st.data())
+def closed_with(shape, marks, slab):
+    """_closed_grid with slabs of at least slab cells ORed slab by slab:
+    1 sends every axis to the slab ORs, a huge slab every axis to
+    np.logical_or.accumulate."""
+    old, hypergraph._SLAB = hypergraph._SLAB, slab
+    try:
+        return _closed_grid(shape, marks)
+    finally:
+        hypergraph._SLAB = old
+
+
+SLABS = (1, hypergraph._SLAB, 10 ** 9)
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=10), st.data(),
+       st.sampled_from(SLABS))
 @RUNS
-def test_closed_grid_matches_accumulate(shape, data):
-    # the slab-wise closure against one logical_or.accumulate per axis,
-    # on 1-10 axes, length-1 axes among them
+def test_closed_grid_matches_accumulate(shape, data, slab):
+    # both closures, and the mix the default threshold picks, against one
+    # logical_or.accumulate per axis, on 1-10 axes, length-1 axes among them
     shape = tuple(shape)
     flat = data.draw(st.lists(st.integers(0, math.prod(shape) - 1),
                               max_size=8))
     marks = np.unravel_index(np.array(flat, dtype=np.int64), shape)
-    assert np.array_equal(_closed_grid(shape, marks),
+    assert np.array_equal(closed_with(shape, marks, slab),
                           accumulated(shape, marks))
 
 
 def test_closed_grid_fixed_shapes():
     rng = np.random.default_rng(5)
     for shape in [(1,), (7,), (1, 1), (1, 5), (5, 1), (2, 1, 3, 1), (1,) * 10,
-                  (3, 2, 1, 2, 3, 1, 2, 1, 2, 2)]:
+                  (3, 2, 1, 2, 3, 1, 2, 1, 2, 2), (600, 3), (3, 600)]:
         for count in (0, 1, 3):
             marks = tuple(rng.integers(0, k, size=count) for k in shape)
-            got = _closed_grid(shape, marks)
-            assert got.shape == shape
-            assert np.array_equal(got, accumulated(shape, marks))
+            for slab in SLABS:
+                got = closed_with(shape, marks, slab)
+                assert got.shape == shape
+                assert np.array_equal(got, accumulated(shape, marks))
