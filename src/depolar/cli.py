@@ -332,7 +332,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimit, MemoryError) as exc:
-        print(f"error: resource limit: {exc}", file=sys.stderr)
+        # a MemoryError raised by numpy or the interpreter carries no text
+        print(f"error: resource limit: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,16 +107,17 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     in the fiber of nu'; rows of one support never nest.
 
     The generators are taken by support.  The boxes of one support overlap
-    when it holds several generators; their union is written out either
-    as the boxes themselves, duplicate rows dropped by one lexsort, or as
-    the inside cells of the support's level grid (_grid_cells), disjoint
-    boxes that hold each row once.  The grid is taken when its cell count
-    is small next to the summed box rows (_CELLS_PER_ROW, _ROWS_OFF).
-    Consecutive supports form a batch whose rows fit one pass; a larger
-    support is a batch on its own, passed over in chunks.  Per batch:
+    when it holds several generators.  Consecutive supports form a batch
+    whose box rows fit one pass; a larger support is a batch on its own,
+    passed over in chunks.  A support of several generators and more than
+    _ROWS_OFF box rows is a batch on its own too, written out from the
+    inside cells of its level grid (_grid_cells), disjoint boxes that hold
+    each row once, when the cells are few next to its box rows
+    (_CELLS_PER_ROW) and within cartesian_cap.  Per batch:
 
-    - every box is enumerated, and duplicate rows dropped when a support
-      left on its boxes holds several generators (rows of different
+    - its rows are enumerated from the grid's cells or from the boxes,
+      and duplicate rows dropped by one lexsort when a support written
+      from its boxes holds several generators (rows of different
       supports always differ);
     - each row is tested against the generators whose support lies
       strictly inside some support of the batch, as block-prefix masks
@@ -126,8 +127,9 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
       from depolarize or polarize_ideal, as the mask of its copies, in
       passes of _NAME_STEP rows.
 
-    cartesian_cap bounds the summed box rows of one support, checked for
-    every support before any row is built; no support writes more rows.
+    cartesian_cap bounds the rows one support writes: its cells' rows when
+    it is written from its grid, its summed box rows otherwise.  It is
+    checked for each batch before the batch's rows are built.
     """
     if Jdual.is_zero:
         raise InputError("cannot expand the zero ideal")
@@ -150,44 +152,20 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     order = np.argsort(key, kind="stable")
     G, key = G[order], key[order]
     first = np.r_[True, key[1:] != key[:-1]]
-    group = np.cumsum(first) - 1
     firsts = np.append(np.flatnonzero(first), len(G))
-    supports = len(firsts) - 1
     dims, sizes = _fiber_sizes(G, mu)
     totals = np.add.reduceat(sizes, firsts[:-1])
-    for total in totals[totals > cartesian_cap][:1].tolist():
-        raise ResourceLimit(f"fibers on one support have {total} "
-                            f"elements, cap {cartesian_cap}")
-    sizes = np.asarray(sizes, dtype=np.int64)
-    # a support written out from its grid trades its boxes for the cells
-    several = np.diff(firsts) > 1
-    grids = {}
-    for s in np.flatnonzero(several & (totals > _ROWS_OFF)).tolist():
-        box = _grid_cells(G[firsts[s]:firsts[s + 1]], top,
-                          _CELLS_PER_ROW * (int(totals[s]) - _ROWS_OFF))
-        if box is not None:
-            grids[s] = box
-    corner, dim, size, owner = G, dims, sizes, group
-    if grids:
-        keep = ~np.isin(group, list(grids))
-        corner, dim, size, owner = map(np.concatenate, zip(
-            (G[keep], dims[keep], sizes[keep], group[keep]),
-            *(box + (np.full(len(box[2]), s),) for s, box in grids.items())))
-        sort = np.argsort(owner, kind="stable")
-        corner, dim, size, owner = (part[sort]
-                                    for part in (corner, dim, size, owner))
-        totals = np.add.reduceat(size, np.searchsorted(owner,
-                                                       np.arange(supports)))
-        several[list(grids)] = False
-    several = several.tolist()
+    # a support that may take its grid fills a pass, so it is a batch on
+    # its own; the cells' int64 sizes could wrap where the boxes' need ints
+    alone = ((np.diff(firsts) > 1) & (totals > _ROWS_OFF)
+             & (sizes.dtype != object))
     cuts, load = [0], 0
-    for s, total in enumerate(totals.tolist()):
+    for s, total in enumerate(np.where(alone, _STEP, totals).tolist()):
         if load and load + total > _STEP:
             cuts.append(s)
             load = 0
         load += total
-    cuts.append(supports)
-    bounds = np.searchsorted(owner, cuts).tolist()
+    cuts.append(len(totals))
     dtype = np.min_scalar_type(max(mu))
     # variable i gets a block of mu_i slots and a row sets each block up to
     # its level, so divisibility is containment.  Block n holds n - 1 slots:
@@ -206,9 +184,17 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     # support t lies inside support s when ~s lies inside ~t
     unused = ~words[:, order[first]]
     rows = []
-    for s0, s1, b0, b1 in zip(cuts, cuts[1:], bounds, bounds[1:]):
-        c = _box_rows(corner[b0:b1], dim[b0:b1], size[b0:b1], dtype)
-        if any(several[s0:s1]):
+    for s0, s1 in zip(cuts, cuts[1:]):
+        b0, b1 = firsts[s0], firsts[s1]
+        box = alone[s0] and _grid_cells(G[b0:b1], top, min(
+            cartesian_cap, _CELLS_PER_ROW * (int(totals[s0]) - _ROWS_OFF)))
+        corner, dim, size = box or (G[b0:b1], dims[b0:b1], sizes[b0:b1])
+        most = size.sum() if box else totals[s0:s1].max()
+        if most > cartesian_cap:
+            raise ResourceLimit(f"fibers on one support have {most} "
+                                f"elements, cap {cartesian_cap}")
+        c = _box_rows(corner, dim, np.asarray(size, dtype=np.int64), dtype)
+        if not box and b1 - b0 > s1 - s0:
             c = c[np.lexsort(c.T)]
             c = c[np.r_[True, (c[1:] != c[:-1]).any(axis=1)]]
         # cover[t]: the supports of the batch that hold support t, less t
@@ -216,7 +202,7 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
         # row of the batch can be tested against
         cover = _subsets(unused, unused[:, s0:s1], np.add.reduce)
         cover[s0:s1] -= 1
-        lower = G[(cover > 0)[group]]
+        lower = G[np.repeat(cover > 0, np.diff(firsts))]
         if lower.size:
             lower = masks(lower, np.count_nonzero(lower, axis=1))
         for lo in range(0, len(c), _STEP):
@@ -261,8 +247,8 @@ def dual_complex_via_depolarization(cx, partition=None,
     G = Jdual._exponents()
     report["gens_Jdual"] = len(G)
     mu = D.ideal.lcm_exponent()
-    # the summed box mu + 1 - nu on supp(nu) of each generator, the rows
-    # repolarize_dual's cap bounds
+    # the summed box mu + 1 - nu on supp(nu) of each generator; a support
+    # written from its grid writes fewer rows, and the cap bounds those
     report["fiber_elements"] = int(_fiber_sizes(G, mu)[1].sum())
     final = clock("repolarize", repolarize_dual, Jdual, mu, D, cartesian_cap)
     report["gens_final"] = final._count()

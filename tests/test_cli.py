@@ -172,6 +172,16 @@ def test_dual_complex_over_the_expansion_cap(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_out_of_memory_names_itself(tmp_path, capsys, monkeypatch):
+    # an allocation that fails raises MemoryError() with no text
+    def fail(ideal):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "polarize_ideal", fail)
+    src = write_json(tmp_path, "I.json", xyz_dict())
+    assert cli.main(["polarize", "--in", src]) == 3
+    assert capsys.readouterr().err == "error: resource limit: out of memory\n"
+
+
 def test_homology_text_and_mod(tmp_path, capsys):
     src = write_json(tmp_path, "cx.json", {
         "vertices": ["v1", "v2", "v3"],

@@ -337,6 +337,24 @@ def test_repolarize_dual_across_batches(rng):
         seen += 1
         assert repolarize_dual(Jdual, J.lcm_exponent(), D) == \
             alexander_dual_ideal(P)
+    # {x, y} is written from its grid, a batch on its own: 25 generators
+    # (k, 26 - k) whose boxes sum past _ROWS_OFF rows, on 25 x 25 cells.
+    # {x} and {y} lie inside it in the batch before; {x, y, z} holds it in
+    # the batch after, beside {z} and {x, z}
+    R = Ring(["x", "y", "z"])
+    mu = (30, 30, 3)
+    _, D = polarize_ideal(MonomialIdeal.from_gens(
+        R, [tuple(m if j == i else 0 for j, m in enumerate(mu))
+            for i in range(3)]))
+    stairs = [(k, 26 - k, 0) for k in range(1, 26)]
+    assert 25 ** 2 <= duality._CELLS_PER_ROW * (fiber_rows(
+        MonomialIdeal.from_gens(R, stairs), mu) - duality._ROWS_OFF)
+    Jdual = MonomialIdeal.from_gens(R, stairs + [
+        (28, 0, 0), (0, 29, 0), (0, 0, 3), (20, 0, 2), (3, 3, 1)])
+    got = repolarize_dual(Jdual, mu, D)
+    assert sorted((frozenset(i for i, e in enumerate(g) if e)
+                   for g in got.gens), key=oracles.set_key) \
+        == oracles.repolarized_dual(Jdual.gens, mu, D.chains)
 
 
 def test_ideals_from_words_equal_ideals_from_tuples(rng):

@@ -126,6 +126,31 @@ def test_grid_axes_are_the_variables_of_several_levels():
     assert _grid_cells(many._exponents(), np.full(33, 2)) is None
 
 
+def test_cap_bounds_the_rows_written():
+    # (1, 50) and (50, 1) on mu = (100, 100): 10,200 box rows, written
+    # from a grid of 3 inside cells that hold 100^2 - 49^2 = 7,599 rows
+    mu = (100, 100)
+    D = chains_of(mu)
+    Jd = MonomialIdeal.from_gens(ring(2), [(1, 50), (50, 1)])
+    got = repolarize_dual(Jd, mu, D, cartesian_cap=8000)
+    assert sorted((frozenset(i for i, e in enumerate(g) if e)
+                   for g in got.gens), key=oracles.set_key) \
+        == oracles.repolarized_dual(Jd.gens, mu, D.chains)
+    with pytest.raises(ResourceLimit, match="have 7599 elements, cap 7598"):
+        repolarize_dual(Jd, mu, D, cartesian_cap=7598)
+    # a grid of more cells than the cap is not built, and the boxes' rows
+    # are over it
+    with pytest.raises(ResourceLimit, match="have 10200 elements, cap 2"):
+        repolarize_dual(Jd, mu, D, cartesian_cap=2)
+    # with mu = 256 on 8 variables a cell may hold 2^64 rows, past int64,
+    # so the support stays on its boxes, whose sizes are Python ints
+    mu = (256,) * 8
+    Jd = MonomialIdeal.from_gens(ring(8), [(1,) * 7 + (2,), (2,) + (1,) * 7])
+    with pytest.raises(ResourceLimit, match=f"have {2 * 255 * 256 ** 7} "
+                                            f"elements, cap {10 ** 7}"):
+        repolarize_dual(Jd, mu, chains_of(mu))
+
+
 def test_sizes_past_int64_reach_the_cap_unwrapped():
     # with mu = 256 on 8 variables a box may hold 2^64 rows, so the sizes
     # are summed as Python ints; boxes near mu stay small and are built
