@@ -3,7 +3,8 @@
 Each grid cell runs in its own process under an optional memory cap and
 timeout; failures become data (status oom/timeout), never crashes.  The
 cell sends each field as it is measured, so a cell that fails keeps the
-fields measured before the failure.
+fields measured before the failure, and a cap that a step hits is named
+in the record's cap field.
 """
 
 import csv
@@ -21,7 +22,7 @@ from .homology import total_betti
 from .ideals import InputError, ResourceLimit
 from .polarization import polarize_ideal
 
-CSV_SCHEMA = "schema=1"
+CSV_SCHEMA = "schema=2"
 
 MAX_TIMEOUT_S = (2 ** 31 - 1) // 1000  # poll(2) counts ms in a C int
 
@@ -40,6 +41,7 @@ class BenchRecord:
     t_alg1_ms: float = None
     size_res: int = None
     status: str = "ok"
+    cap: str = None
 
     def ratio_gens(self):
         if self.gens_IDelta and self.gens_Jdual:
@@ -55,7 +57,8 @@ class BenchRecord:
 def _measure_cell(family, params, size_res):
     """Yield the cell's fields as each is measured.  The direct dual of
     the polarization, the step most likely to time out, runs after the
-    round trip."""
+    round trip.  A round trip refused by its cap leaves t_alg1_ms blank
+    and names the cap, and the cell goes on."""
     J = FAMILIES[family](**params)
     yield {"n": J.n, "gens_J": J._count()}
     t0 = time.perf_counter()
@@ -68,8 +71,8 @@ def _measure_cell(family, params, size_res):
     t0 = time.perf_counter()
     try:
         dual_complex_via_depolarization(cx)
-    except ResourceLimit:
-        pass
+    except ResourceLimit as exc:
+        yield {"cap": f"alg1: {exc}"}
     else:
         yield {"t_alg1_ms": (time.perf_counter() - t0) * 1000.0}
     t0 = time.perf_counter()
@@ -99,7 +102,10 @@ def _cell_worker(conn, family, params, mem_mb, size_res):
         for part in _measure_cell(family, params, size_res):
             conn.send(("part", part))
         payload = ("ok", None)
-    except (MemoryError, ResourceLimit):
+    except ResourceLimit as exc:  # the cap is named, the status stays oom
+        conn.send(("part", {"cap": str(exc)}))
+        payload = ("oom", None)
+    except MemoryError:
         payload = ("oom", None)
     except InputError as exc:  # raised again by the parent
         payload = ("input", str(exc))

@@ -2,18 +2,27 @@
 
 Betti numbers of a monomial ideal come from reduced homology of its Koszul
 complexes: beta_{i,mu} = dim H~_{i-1}(K^mu_I), summed over the lcm lattice.
+_face_homology, the rank of the boundary maps between the faces of each
+dimension, is the one homology kernel.  reduced_homology_dims first shrinks
+a complex by depolarizing its facet complement ideal; graded_betti reads
+every Koszul complex off the ideal's level grid as a pattern of bits, or
+sweeps the lcm lattice when the grid is too large.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
-from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex, koszul_complex,
-                        koszul_rows)
-from .hypergraph import from_words, rows_to_words, width
-from .ideals import DEFAULT_LATTICE_CAP, InputError
+from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex,
+                        facet_complement_ideal, koszul_complex, koszul_rows)
+from .depolarization import depolarize
+from .hypergraph import (_closed_grid, _column_keys, _distinct, cone_free,
+                         from_words, koszul_patterns, level_slots, popcounts,
+                         prefix_words, restricted_patterns, rows_to_words,
+                         width, words_to_rows)
+from .ideals import DEFAULT_LATTICE_CAP, InputError, ResourceLimit
 
 
 def _check_modulus(p):
@@ -77,22 +86,65 @@ def _rank(cols, p=None):
     return rank
 
 
-def reduced_homology_dims(cx, face_cap=DEFAULT_FACE_CAP, p=None):
-    """Reduced homology dimensions; position k holds degree k - 1.
-
-    Uses augmented boundary maps, so the irrelevant complex has H~_{-1} = 1
-    and any nonempty complex has H~_{-1} = 0.  The void complex returns [].
-    """
-    _check_modulus(p)
-    faces = cx.faces_by_dim(face_cap)
+def _face_homology(faces, p=None):
+    """Reduced homology dimensions of the complex with these faces, a dict
+    from dimension to its faces as ascending int masks, and the kernel
+    that every homology of the package runs: position k holds degree
+    k - 1, and no faces (the void complex) give [].  Augmented boundary
+    maps make H~_{-1} 1 for the irrelevant complex and 0 otherwise."""
     if not faces:
         return []
     top = max(faces)
-    ranks = {}
-    for d in range(0, top + 1):
-        ranks[d] = _rank(_boundary_columns(faces[d - 1], faces[d]), p)
+    ranks = {d: _rank(_boundary_columns(faces[d - 1], faces[d]), p)
+             for d in range(top + 1)}
     return [len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
             for d in range(-1, top + 1)]
+
+
+def depolarized_complex(cx):
+    """One reduction pass: None when some vertex lies in every facet, so
+    cx is a cone and H~ = 0 in every degree; else a complex with the same
+    reduced homology in every degree, on fewer vertices when one exists.
+
+    For a proper complex, cx = K^1(I) with I = facet_complement_ideal(cx).
+    Without a cone vertex every vertex lies in supp(I), so 1 is the lcm of
+    I, and with J = depolarize(I).ideal, H~_i(K^1(I)) = H~_i(K^mu(J)) for
+    mu the lcm of J (beta_{i+1,1}(I) = beta_{i+1,mu}(J)).  K^mu(J) lives on
+    the chains of J.  The cone test comes first because depolarize drops
+    a vertex outside supp(I).  Void and irrelevant complexes come back as
+    they are, and so does cx when its chains are its vertices."""
+    if cx.kind != "proper":
+        return cx
+    if np.bitwise_and.reduce(cx.words, axis=1).any():
+        return None
+    D = depolarize(facet_complement_ideal(cx))
+    if len(D.chains) == cx.n:
+        return cx
+    return koszul_complex(D.ideal)
+
+
+def reduced_homology_dims(cx, face_cap=DEFAULT_FACE_CAP, p=None):
+    """Reduced homology dimensions; position k holds degree k - 1.
+
+    The complex is reduced by depolarized_complex until it stops
+    shrinking or is found to be a cone, and the faces of what is left go
+    to the one kernel.  The result is padded or cut back to the input's top
+    dimension.  The irrelevant complex has H~_{-1} = 1, any nonempty
+    complex H~_{-1} = 0, and the void complex returns [].  face_cap bounds
+    the faces of the complex that is enumerated.
+    """
+    _check_modulus(p)
+    size = cx.dim + 2
+    small = cx
+    while small is not None:
+        smaller = depolarized_complex(small)
+        if smaller is small:
+            break
+        small = smaller
+    if small is None:
+        return [0] * size
+    dims = _face_homology(small.faces_by_dim(face_cap), p)
+    return (dims + [0] * size)[:size]
 
 
 def hochster_betti(I, mu=None, face_cap=DEFAULT_FACE_CAP, p=None):
@@ -168,9 +220,80 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
-                 p=None):
-    """Sweep the lcm lattice and collect all nonzero beta_{i,mu}.
+# bytes of Koszul pattern words the Betti grid may hold.  jknm(8) (390,625
+# cells of 4 words) holds 12.5 MB, and its grid's arrays peaked at 22 MB
+# under tracemalloc; jknm(9) (1,953,125 cells of 8 words) would hold
+# 125 MB and takes the sweep
+_PATTERN_BYTES = 1 << 25
+
+
+def _betti_plan(I, lattice_cap):
+    """The kernel that computes the Betti numbers of I ("grid" or "sweep"),
+    the exponents G of I and the level_slots layout of their nonzero
+    entries.  The grid has one axis per variable of I's generators, and
+    one cell per distinct nonzero level of it plus one below; it is taken
+    when its cells fit lattice_cap and its patterns, a word per 64 of the
+    2^n bits per cell, fit _PATTERN_BYTES."""
+    if I.is_zero:
+        raise InputError("the zero ideal has no Betti numbers")
+    G = I._exponents()
+    layout = level_slots(G, G > 0)
+    lo, hi = layout[2], layout[3]
+    n = int(np.count_nonzero(hi > lo))
+    cells = prod((hi - lo + 1).tolist())
+    grid = cells <= lattice_cap \
+        and cells * 8 * width(2 ** n) <= _PATTERN_BYTES
+    return "grid" if grid else "sweep", G, layout
+
+
+def _grid_betti(G, layout, face_cap, p):
+    """Entries of the Betti table of the generators G from the Koszul
+    patterns of their level grid.
+
+    Cell j of axis i holds the exponents from its level to the next, so
+    its lower corner b has b - e_i in cell j - 1, and K^b is the pattern of
+    the cell (koszul_patterns).  A cone pattern has no homology, and every
+    corner outside the lcm lattice has a cone vertex, so only the patterns
+    of cone_free count.  Each is cut down to the axes its faces hold, in
+    order, a canonical form on c vertices, and the homology is computed
+    once per distinct form, reading the faces off its bits.  face_cap
+    bounds the faces of each form."""
+    slot, level, lo, hi = layout
+    axes = np.flatnonzero(hi > lo)
+    shape = tuple((hi - lo + 1)[axes].tolist())
+    n = len(axes)
+    sub = slot[:, axes]
+    grid = _closed_grid(shape, tuple(np.where(sub >= 0, sub - lo[axes] + 1,
+                                              0).T))
+    keep, pat, used = cone_free(koszul_patterns(grid), n)
+    forms = restricted_patterns(pat, used)
+    keys = _column_keys(forms)
+    distinct, first = _distinct(keys)
+    dim = popcounts(np.arange(2 ** n, dtype=np.uint64)[None]) - 1
+    homology = []
+    for bits in words_to_rows(forms[:, first], 2 ** n):
+        faces = np.flatnonzero(bits)
+        if len(faces) > face_cap:
+            raise ResourceLimit(f"face count exceeds cap {face_cap}")
+        by_dim = {}
+        for f, d in zip(faces.tolist(), dim[faces].tolist()):
+            by_dim.setdefault(d, []).append(f)
+        homology.append(_face_homology(by_dim, p))
+    # the corner of cell c on axis i is level c of it, 0 for cell 0
+    corners = np.zeros((len(keep), len(lo)), dtype=np.int64)
+    for ax, cell in zip(axes.tolist(), np.unravel_index(keep, shape)):
+        corners[:, ax] = np.where(cell > 0, level[lo[ax] + cell - 1], 0)
+    entries = {}
+    for mu, form in zip(map(tuple, corners.tolist()),
+                        np.searchsorted(distinct, keys).tolist()):
+        for i, d in enumerate(homology[form]):
+            if d:
+                entries[(i, mu)] = d
+    return entries
+
+
+def _sweep_betti(I, face_cap, lattice_cap, p):
+    """Entries of the Betti table of I from a sweep of its lcm lattice.
 
     K^mu depends only on the lcm lattice below mu (Gasharov, Peeva and
     Welker), so many points share one Koszul complex up to relabelling.
@@ -183,7 +306,6 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
     equal face counts, so face_cap fires at the point where it would
     computing one complex per point.
     """
-    _check_modulus(p)
     points = I.lcm_lattice(lattice_cap)
     G = I._exponents()
     P = np.array(points, dtype=np.int64)
@@ -213,14 +335,49 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
                     words[:width(c), start:end])
                 dims = by_complex.get(cx)
                 if dims is None:
-                    dims = by_complex[cx] = reduced_homology_dims(
-                        cx, face_cap, p)
+                    dims = by_complex[cx] = _face_homology(
+                        cx.faces_by_dim(face_cap), p)
                 by_rows[key] = dims
             start = end
             for i, d in enumerate(dims):
                 if d:
                     entries[(i, mu)] = d
-    return BettiTable(I.ring, entries)
+    return entries
+
+
+def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
+                 p=None):
+    """All nonzero beta_{i,mu} of I, beta_{i,mu} = dim H~_{i-1}(K^mu).
+
+    A squarefree ideal with fewer chains than variables is depolarized
+    first: with J = depolarize(I).ideal, beta_{i,a}(J) = beta_{i,pol(a)}(I),
+    where pol(a) sets the first a_c variables of chain c, since pol maps
+    the lcm lattice of J onto that of I.  _betti_plan then sends the
+    ideal to its level grid (_grid_betti) or to the lcm lattice sweep
+    (_sweep_betti).  lattice_cap bounds the grid's cells or the lattice's
+    points, face_cap the faces of each complex whose homology is computed.
+    """
+    _check_modulus(p)
+    if I.is_squarefree() and not I.is_zero:
+        D = depolarize(I)
+        if len(D.chains) < I.n:
+            table = graded_betti(D.ideal, face_cap, lattice_cap, p)
+            degrees = list({mu for _, mu in table.entries})
+            A = np.array(degrees, dtype=np.int64).reshape(-1, len(D.chains))
+            # the chains' variables in chain order are the slots of pol(a)
+            flat = [v for chain in D.chains for v in chain]
+            lens = np.array([len(chain) for chain in D.chains])
+            start = np.cumsum(lens) - lens
+            rows = np.zeros((len(A), I.n), dtype=np.int64)
+            rows[:, flat] = words_to_rows(
+                prefix_words(start, start + A, width(len(flat))), len(flat))
+            pol = dict(zip(degrees, map(tuple, rows.tolist())))
+            return BettiTable(I.ring, {(i, pol[mu]): v for (i, mu), v
+                                       in table.entries.items()})
+    kernel, G, layout = _betti_plan(I, lattice_cap)
+    if kernel == "grid":
+        return BettiTable(I.ring, _grid_betti(G, layout, face_cap, p))
+    return BettiTable(I.ring, _sweep_betti(I, face_cap, lattice_cap, p))
 
 
 def total_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,

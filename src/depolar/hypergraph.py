@@ -28,6 +28,11 @@ that slot.  On a row of first slots only (every squarefree row) a join
 adds that one slot, so a mask u kills the join of t at the slot where u
 meets the row exactly when u minus the row lies inside t; one containment
 test per (t, u) pair decides it.
+
+The same level grid carries the Koszul complexes of an ideal for
+homology.graded_betti: koszul_patterns gives each cell its complex as a
+word pattern of 2^n bits, cone_free drops the cones, and
+restricted_patterns cuts each pattern down to the axes it holds.
 """
 
 import math
@@ -388,6 +393,107 @@ def _closed_grid(shape, marks):
             for j in range(1, len(slabs)):
                 slabs[j] |= slabs[j - 1]
     return grid
+
+
+# _FREE[i], i < 6: the bits F of a word whose set of axes F misses axis i
+_FREE = np.array([0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                  0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF],
+                 dtype=np.uint64)
+
+
+def koszul_patterns(grid):
+    """(W, cells) Koszul patterns of the cells of a bool grid of n axes, in
+    C order, W = width(2^n): bit F of cell j, F read as a set of axes, is
+    whether cell j - F is set, unset when j - F leaves the grid.  Axis i
+    sets the bits F that hold i from the cell below on that axis.  The
+    earlier axes set only bits below 2^i, so for i < 6 that is a shift by
+    2^i inside word 0, and past that a copy of the first 2^(i-6) words into
+    the next 2^(i-6)."""
+    n = grid.ndim
+    pat = np.zeros((width(1 << n),) + grid.shape, dtype=np.uint64)
+    pat[0] = grid
+    for ax in range(n):
+        words = np.swapaxes(pat, 1, ax + 1)
+        if ax < 6:
+            words[0, 1:] |= words[0, :-1] << np.uint64(1 << ax)
+        else:
+            h = 1 << (ax - 6)
+            words[h:2 * h, 1:] = words[:h, :-1]
+    return pat.reshape(len(pat), -1)
+
+
+def _halves(pat, i):
+    """The words of (W, N) patterns split by axis i, (without, with): bits F
+    that miss i and the bits F + i, aligned at the same positions."""
+    if i < 6:
+        return pat & _FREE[i], pat >> np.uint64(1 << i) & _FREE[i]
+    h = 1 << (i - 6)
+    W, N = pat.shape
+    split = pat.reshape(W // (2 * h), 2, h, N)
+    return split[:, 0].reshape(W // 2, N), split[:, 1].reshape(W // 2, N)
+
+
+# words tested in one pass of cone_free; its temporaries stay near 2 MB
+_CONE_PASS = 2 ** 18
+
+
+def cone_free(pat, n):
+    """The columns of (W, N) patterns on n axes (koszul_patterns) that have
+    no cone vertex, as their indices, their words and an (n, M) bool array
+    of the axes their set bits hold.  Axis i is a cone vertex when every
+    set bit F that misses i has F + i set too, one word test per axis;
+    the void pattern, whose cell is unset, is a cone on every axis.  The
+    columns are tested in passes of at most _CONE_PASS words, and each
+    axis tests only the columns that the axes before it kept."""
+    keep = []
+    step = max(1, _CONE_PASS // len(pat))
+    for start in range(0, pat.shape[1], step):
+        block = pat[:, start:start + step]
+        idx = np.flatnonzero(block[0] & np.uint64(1))
+        block = block[:, idx]
+        for i in range(n):
+            without, with_i = _halves(block, i)
+            held = (without & ~with_i).any(axis=0)
+            idx, block = idx[held], block[:, held]
+        keep.append(idx + start)
+    keep = np.concatenate(keep)
+    pat = pat[:, keep]
+    used = np.array([_halves(pat, i)[1].any(axis=0) for i in range(n)],
+                    dtype=bool).reshape(n, len(keep))
+    return keep, pat, used
+
+
+def _drop_axis(pat, i):
+    """(W, N) patterns whose set bits all miss axis i, with axis i taken
+    out of the index: bit F of the result is the bit of pat at F with the
+    axes from i on moved one up.  Past the first 6 axes that keeps the
+    words that miss i.  Below, it gathers the bits that miss i in each
+    word into its low half, doubling the runs of kept bits each step, and
+    joins the halves of two words into one."""
+    out = np.zeros_like(pat)
+    if i >= 6:
+        out[:len(pat) // 2] = _halves(pat, i)[0]
+        return out
+    x = pat & _FREE[i]
+    for j in range(i, 5):
+        x = (x | x >> np.uint64(1 << j)) & _FREE[j + 1]
+    out[:-(-len(x) // 2)] = x[0::2]
+    out[:len(x) // 2] |= x[1::2] << np.uint64(32)
+    return out
+
+
+def restricted_patterns(pat, used):
+    """(W, N) patterns cut down to the axes their set bits hold, used an
+    (n, N) bool array of them (cone_free): the axes each pattern misses are
+    taken out of its index from the last one down, so the axes it holds
+    become 0..c-1 in order, and equal complexes on any c axes give equal
+    words.  Bits past 2^c are 0."""
+    pat = pat.copy()
+    for i in reversed(range(len(used))):
+        drop = ~used[i]
+        if drop.any():
+            pat[:, drop] = _drop_axis(pat[:, drop], i)
+    return pat
 
 
 def _staircase(slot, level, lo, hi, cap=None):

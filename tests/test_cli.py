@@ -229,7 +229,7 @@ def test_bench_csv_and_json(capsys):
     out = run_ok(capsys, ["bench", "--family", "varpowers", "--n", "3",
                           "--k", "2", "--format", "csv"])
     lines = out.strip().splitlines()
-    assert lines[0] == "schema=1"
+    assert lines[0] == "schema=2"
     assert lines[1].startswith("family,params,")
     assert len(lines) == 3
     data = json.loads(run_ok(capsys, ["bench", "--family", "varpowers",

@@ -1,6 +1,7 @@
 """Ideal families and the subprocess benchmark harness."""
 
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -148,7 +149,7 @@ def test_csv_output():
     records, text = bench_dual([("varpowers", {"n": 3, "k": 2})])
     assert text == records_to_csv(records)
     lines = text.strip().splitlines()
-    assert lines[0] == CSV_SCHEMA == "schema=1"
+    assert lines[0] == CSV_SCHEMA == "schema=2"
     rows = list(csv.reader(io.StringIO(text)))
     header, data = rows[1], rows[2]
     assert header[:2] == ["family", "params"]
@@ -163,3 +164,30 @@ def test_csv_output():
     row = dict(zip(header, list(csv.reader(io.StringIO(t)))[2]))
     assert row["status"] == "timeout"
     assert row["gens_J"] == "" and row["ratio_gens"] == ""
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the cell process must inherit the patched cap")
+def test_round_trip_cap_is_named(monkeypatch):
+    # a round trip refused by its cap leaves t_alg1_ms blank, names the
+    # cap in the record and the CSV, and the cell goes on to the direct dual
+    def capped(cx):
+        # the warm-up's round trip, on 4 vertices, runs uncapped
+        return roundtrip(cx, cartesian_cap=2 if cx.n > 4 else 10 ** 7)
+
+    roundtrip = bench.dual_complex_via_depolarization
+    monkeypatch.setattr(bench, "dual_complex_via_depolarization", capped)
+    r = run_cell("power", {"n": 2, "k": 3}, timeout_s=60)
+    assert r.status == "ok" and r.t_alg1_ms is None
+    assert r.cap.startswith("alg1: ") and "cap 2" in r.cap
+    assert r.t_IDelta_ms > 0 and r.gens_IDelta == 6
+    lines = records_to_csv([r]).splitlines()
+    assert lines[0] == CSV_SCHEMA == "schema=2"
+    row = dict(zip(*csv.reader(lines[1:])))
+    assert row["cap"] == r.cap and row["t_alg1_ms"] == ""
+    # a cap that ends the cell is named too, with the status it had
+    monkeypatch.setattr(bench, "total_betti", functools.partial(
+        bench.total_betti, lattice_cap=1))
+    r = run_cell("power", {"n": 2, "k": 3}, timeout_s=60, size_res=True)
+    assert r.status == "oom" and r.size_res is None
+    assert r.cap == "lcm lattice exceeds cap 1"

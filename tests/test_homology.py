@@ -3,14 +3,19 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from depolar import homology
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
-from depolar.complexes import SimplicialComplex
+from depolar.complexes import SimplicialComplex, facet_complement_complex
+from depolar.families import gen_variable_powers
 from depolar.homology import (reduced_homology_dims, hochster_betti,
-                              BettiTable, graded_betti, total_betti)
+                              BettiTable, depolarized_complex, graded_betti,
+                              total_betti)
+from depolar.polarization import polarize_ideal
 
 
 def cx_of(nverts, facets):
@@ -59,9 +64,14 @@ def test_homology_matches_oracle(rng):
 
 
 def test_homology_face_cap():
+    # the solid tetrahedron is a cone, decided before any face is listed;
+    # its boundary does not reduce, and its 15 faces are enumerated
     tetra = cx_of(4, [(0, 1, 2, 3)])
+    assert reduced_homology_dims(tetra, face_cap=3) == [0, 0, 0, 0, 0]
+    sphere = cx_of(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
     with pytest.raises(ResourceLimit):
-        reduced_homology_dims(tetra, face_cap=3)
+        reduced_homology_dims(sphere, face_cap=3)
+    assert reduced_homology_dims(sphere, face_cap=15) == [0, 0, 0, 1]
 
 
 def random_ideal(rng, n, ngens, emax):
@@ -92,8 +102,9 @@ def test_graded_betti_matches_oracle(rng, monkeypatch):
     # Koszul complexes of up to 5 variables live on at most 5 vertices,
     # too few for torsion, so the rational oracle holds over F_2 and F_3
     calls = []
-    monkeypatch.setattr(homology, "reduced_homology_dims",
-                        lambda *a: calls.append(1) or reduced_homology_dims(*a))
+    kernel = homology._face_homology
+    monkeypatch.setattr(homology, "_face_homology",
+                        lambda *a: calls.append(1) or kernel(*a))
     points = 0
     for _ in range(80):
         I = random_ideal(rng, rng.randint(1, 5), rng.randint(1, 8), 3)
@@ -123,8 +134,9 @@ def test_graded_betti_homology_once_per_complex(monkeypatch):
                                 [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),
                                  (0, 0, 0, 2)])
     calls = []
-    monkeypatch.setattr(homology, "reduced_homology_dims",
-                        lambda *a: calls.append(1) or reduced_homology_dims(*a))
+    kernel = homology._face_homology
+    monkeypatch.setattr(homology, "_face_homology",
+                        lambda *a: calls.append(1) or kernel(*a))
     assert len(I.lcm_lattice()) == 15
     assert graded_betti(I).totals() == [4, 6, 4, 1]
     assert len(calls) == 4
@@ -227,3 +239,85 @@ def test_graded_betti_lattice_cap():
     I = MonomialIdeal.from_gens(R, sorted(gens))
     with pytest.raises(ResourceLimit):
         graded_betti(I, lattice_cap=20)
+
+
+# --------------------------------------------------- reduction by depolarizing
+
+def direct(cx, p=None):
+    """The homology of cx from all of its faces, with no reduction."""
+    return homology._face_homology(cx.faces_by_dim(), p)
+
+
+@st.composite
+def complexes(draw):
+    """A complex on 1-9 vertices: random facets, or, one case in two, the
+    facet complement complex of a polarization, which always reduces."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        facets = draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=6))
+        return cx_of(n, facets)
+    n = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]),
+                                draw(st.lists(row, min_size=1, max_size=5)))
+    return facet_complement_complex(polarize_ideal(I)[0])
+
+
+@given(complexes())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_one_reduction_pass_keeps_the_homology(cx):
+    want = direct(cx)
+    small = depolarized_complex(cx)
+    if small is None:
+        # a vertex in every facet: a cone
+        assert np.bitwise_and.reduce(cx.words, axis=1).any()
+        assert want == [0] * (cx.dim + 2)
+        return
+    assert small.n <= cx.n
+    assert small is cx or small.n < cx.n
+    got = direct(small) + [0] * cx.n
+    assert got[:len(want)] == want and not any(got[len(want):])
+
+
+@given(complexes(), st.sampled_from([None, 2]))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_reduction_to_the_fixed_point_keeps_the_homology(cx, p):
+    assert reduced_homology_dims(cx, p=p) == direct(cx, p)
+    # the passes stop at a complex no pass shrinks, or at a cone
+    small = cx
+    while small is not None and depolarized_complex(small) is not small:
+        small = depolarized_complex(small)
+    assert small is None or depolarized_complex(small) is small
+
+
+def test_cone_verdicts():
+    # a simplex beside isolated ambient vertices is a cone; with the two
+    # vertices as faces of their own it is not
+    assert depolarized_complex(cx_of(5, [(0, 1, 2)])) is None
+    assert reduced_homology_dims(cx_of(5, [(0, 1, 2)])) == [0, 0, 0, 0]
+    apart = cx_of(5, [(0, 1, 2), (3,), (4,)])
+    assert depolarized_complex(apart) is not None
+    assert reduced_homology_dims(apart) == direct(apart) == [0, 2, 0, 0]
+    # a cone over the hollow triangle
+    cone = cx_of(4, [(0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    assert depolarized_complex(cone) is None
+    assert reduced_homology_dims(cone) == direct(cone) == [0, 0, 0, 0]
+    # the irrelevant and the void complex come back as they are
+    for cx, want in [(cx_of(3, [()]), [1]), (cx_of(3, []), [])]:
+        assert depolarized_complex(cx) is cx
+        assert reduced_homology_dims(cx) == direct(cx) == want
+
+
+def test_polarized_complex_reduces_to_its_chains():
+    # varpowers(10, 8) polarized: 80 vertices, whose faces pass the face
+    # cap, reduce to the boundary of the simplex on its 10 chains
+    cx = facet_complement_complex(
+        polarize_ideal(gen_variable_powers(10, 8))[0])
+    assert cx.n == 80
+    small = depolarized_complex(cx)
+    assert small.n == 10
+    want = [0] * (cx.dim + 2)
+    want[9] = 1
+    assert reduced_homology_dims(cx) == want
