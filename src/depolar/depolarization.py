@@ -126,6 +126,25 @@ def min_chain_partition(poset):
     return tuple(chains)
 
 
+def _joins_variables(I):
+    """Whether depolarize(I) has fewer chains than the squarefree ideal I
+    has variables, read off its generator incidence: exactly when some
+    variable lies in no generator, or the generators of one variable all
+    hold another (equal sets included), since min_chain_partition then
+    puts the two on one chain.  The column intersection sizes are summed
+    over blocks of rows, each cast to float64 as in _successors."""
+    A = words_to_rows(I.words, I.n)
+    step = max(1, _BLOCK // I.n)
+    inter = np.zeros((I.n, I.n))
+    for lo in range(0, len(A), step):
+        B = A[lo:lo + step].astype(np.float64)
+        inter += B.T @ B
+    size = inter.diagonal()
+    inside = inter == size[:, None]
+    np.fill_diagonal(inside, False)
+    return bool(not size.all() or inside.any())
+
+
 def depolarize(I, partition=None):
     """Collapse each chain of the support poset to powers of one variable.
 

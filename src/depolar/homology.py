@@ -3,8 +3,11 @@
 Betti numbers of a monomial ideal come from reduced homology of its Koszul
 complexes: beta_{i,mu} = dim H~_{i-1}(K^mu_I), summed over the lcm lattice.
 _face_homology, the rank of the boundary maps between the faces of each
-dimension, is the one homology kernel.  reduced_homology_dims first shrinks
-a complex by depolarizing its facet complement ideal; graded_betti reads
+dimension, is the one homology kernel.  It ranks them from the top
+dimension down and clears: a face that is a pivot row one dimension up is
+no column of its own boundary map.  Boundary columns are keyed by face
+masks.  reduced_homology_dims first shrinks a complex by depolarizing its
+facet complement ideal, when that joins two vertices; graded_betti reads
 every Koszul complex off the ideal's level grid as a pattern of bits, or
 sweeps the lcm lattice when the grid is too large.
 """
@@ -17,7 +20,7 @@ import numpy as np
 
 from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex,
                         facet_complement_ideal, koszul_complex, koszul_rows)
-from .depolarization import depolarize
+from .depolarization import _joins_variables, depolarize
 from .hypergraph import (_closed_grid, _column_keys, _distinct, cone_free,
                          from_words, koszul_patterns, level_slots, popcounts,
                          prefix_words, restricted_patterns, rows_to_words,
@@ -36,30 +39,31 @@ def _is_small_prime(p):
     return 2 <= p < 2 ** 31 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-def _boundary_columns(lower, upper):
-    index = {m: r for r, m in enumerate(lower)}
+def _boundary_columns(upper):
+    """The boundary of each face mask in upper, a column keyed by the masks
+    of the faces one dimension down, which sort within their dimension as
+    the faces are listed."""
     cols = []
     for m in upper:
         col, k, v = {}, 0, m
         while v:
             low = v & -v
             v ^= low
-            col[index[m ^ low]] = -1 if k & 1 else 1
+            col[m ^ low] = -1 if k & 1 else 1
             k += 1
         cols.append(col)
     return cols
 
 
 def _rank(cols, p=None):
-    """Rank by sparse elimination, exact over Q or over F_p when p is given.
+    """The pivot rows of the columns, as many as their rank, by sparse
+    elimination, exact over Q or over F_p when p is given.
 
-    Columns reduce against recorded pivot columns keyed by their largest
-    row until they empty out or claim a new pivot row.
+    Columns reduce in place against recorded pivot columns keyed by their
+    largest row until they empty out or claim a new pivot row.
     """
     pivots = {}
-    rank = 0
     for col in cols:
-        col = dict(col)
         while col:
             r = max(col)
             if r not in pivots:
@@ -72,7 +76,6 @@ def _rank(cols, p=None):
                 elif c != 1:
                     col = {k: Fraction(v, c) for k, v in col.items()}
                 pivots[r] = col
-                rank += 1
                 break
             c = col.pop(r)
             for k, v in pivots[r].items():
@@ -83,7 +86,7 @@ def _rank(cols, p=None):
                     col[k] = nv
                 else:
                     col.pop(k, None)
-    return rank
+    return pivots.keys()
 
 
 def _face_homology(faces, p=None):
@@ -91,12 +94,24 @@ def _face_homology(faces, p=None):
     from dimension to its faces as ascending int masks, and the kernel
     that every homology of the package runs: position k holds degree
     k - 1, and no faces (the void complex) give [].  Augmented boundary
-    maps make H~_{-1} 1 for the irrelevant complex and 0 otherwise."""
+    maps make H~_{-1} 1 for the irrelevant complex and 0 otherwise.
+
+    The boundary maps are ranked from the top dimension down, with
+    clearing: a d-face that is a pivot row of the boundary of the
+    (d+1)-faces is left out of the columns of the boundary of the d-faces.
+    Its reduced (d+1)-column is a cycle led by it, so its boundary lies in
+    the span of the boundaries of faces with smaller masks, and the rank
+    is the same over any field.  The boundary of the vertices, onto the
+    empty face, has rank 1 with no elimination."""
     if not faces:
         return []
     top = max(faces)
-    ranks = {d: _rank(_boundary_columns(faces[d - 1], faces[d]), p)
-             for d in range(top + 1)}
+    ranks = {0: 1} if top >= 0 else {}
+    cleared = ()
+    for d in range(top, 0, -1):
+        cleared = _rank(_boundary_columns(
+            [m for m in faces[d] if m not in cleared]), p)
+        ranks[d] = len(cleared)
     return [len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
             for d in range(-1, top + 1)]
 
@@ -112,15 +127,16 @@ def depolarized_complex(cx):
     mu the lcm of J (beta_{i+1,1}(I) = beta_{i+1,mu}(J)).  K^mu(J) lives on
     the chains of J.  The cone test comes first because depolarize drops
     a vertex outside supp(I).  Void and irrelevant complexes come back as
-    they are, and so does cx when its chains are its vertices."""
+    they are, and so does cx when its chains are its vertices, which the
+    generator incidence of I shows with no depolarize call."""
     if cx.kind != "proper":
         return cx
     if np.bitwise_and.reduce(cx.words, axis=1).any():
         return None
-    D = depolarize(facet_complement_ideal(cx))
-    if len(D.chains) == cx.n:
+    I = facet_complement_ideal(cx)
+    if not _joins_variables(I):
         return cx
-    return koszul_complex(D.ideal)
+    return koszul_complex(depolarize(I).ideal)
 
 
 def reduced_homology_dims(cx, face_cap=DEFAULT_FACE_CAP, p=None):
@@ -270,7 +286,7 @@ def _grid_betti(G, layout, face_cap, p):
     keys = _column_keys(forms)
     distinct, first = _distinct(keys)
     dim = popcounts(np.arange(2 ** n, dtype=np.uint64)[None]) - 1
-    homology = []
+    homology = []  # the (i, beta_i) with beta_i > 0 of each distinct form
     for bits in words_to_rows(forms[:, first], 2 ** n):
         faces = np.flatnonzero(bits)
         if len(faces) > face_cap:
@@ -278,17 +294,20 @@ def _grid_betti(G, layout, face_cap, p):
         by_dim = {}
         for f, d in zip(faces.tolist(), dim[faces].tolist()):
             by_dim.setdefault(d, []).append(f)
-        homology.append(_face_homology(by_dim, p))
+        homology.append([(i, d) for i, d
+                         in enumerate(_face_homology(by_dim, p)) if d])
+    form = np.searchsorted(distinct, keys)
+    # only the cells whose form has homology give entries
+    hit = np.array([bool(h) for h in homology], dtype=bool)[form]
+    form = form[hit].tolist()
     # the corner of cell c on axis i is level c of it, 0 for cell 0
-    corners = np.zeros((len(keep), len(lo)), dtype=np.int64)
-    for ax, cell in zip(axes.tolist(), np.unravel_index(keep, shape)):
+    corners = np.zeros((len(form), len(lo)), dtype=np.int64)
+    for ax, cell in zip(axes.tolist(), np.unravel_index(keep[hit], shape)):
         corners[:, ax] = np.where(cell > 0, level[lo[ax] + cell - 1], 0)
     entries = {}
-    for mu, form in zip(map(tuple, corners.tolist()),
-                        np.searchsorted(distinct, keys).tolist()):
-        for i, d in enumerate(homology[form]):
-            if d:
-                entries[(i, mu)] = d
+    for mu, f in zip(map(tuple, corners.tolist()), form):
+        for i, d in homology[f]:
+            entries[(i, mu)] = d
     return entries
 
 
@@ -349,31 +368,30 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
                  p=None):
     """All nonzero beta_{i,mu} of I, beta_{i,mu} = dim H~_{i-1}(K^mu).
 
-    A squarefree ideal with fewer chains than variables is depolarized
-    first: with J = depolarize(I).ideal, beta_{i,a}(J) = beta_{i,pol(a)}(I),
-    where pol(a) sets the first a_c variables of chain c, since pol maps
-    the lcm lattice of J onto that of I.  _betti_plan then sends the
-    ideal to its level grid (_grid_betti) or to the lcm lattice sweep
-    (_sweep_betti).  lattice_cap bounds the grid's cells or the lattice's
+    A squarefree ideal with fewer chains than variables, read off its
+    generator incidence, is depolarized first: with J = depolarize(I).ideal,
+    beta_{i,a}(J) = beta_{i,pol(a)}(I), where pol(a) sets the first a_c
+    variables of chain c, since pol maps the lcm lattice of J onto that of
+    I.  _betti_plan then sends the ideal to its level grid (_grid_betti)
+    or to the lcm lattice sweep (_sweep_betti).  lattice_cap bounds the grid's cells or the lattice's
     points, face_cap the faces of each complex whose homology is computed.
     """
     _check_modulus(p)
-    if I.is_squarefree() and not I.is_zero:
+    if I.is_squarefree() and not I.is_zero and _joins_variables(I):
         D = depolarize(I)
-        if len(D.chains) < I.n:
-            table = graded_betti(D.ideal, face_cap, lattice_cap, p)
-            degrees = list({mu for _, mu in table.entries})
-            A = np.array(degrees, dtype=np.int64).reshape(-1, len(D.chains))
-            # the chains' variables in chain order are the slots of pol(a)
-            flat = [v for chain in D.chains for v in chain]
-            lens = np.array([len(chain) for chain in D.chains])
-            start = np.cumsum(lens) - lens
-            rows = np.zeros((len(A), I.n), dtype=np.int64)
-            rows[:, flat] = words_to_rows(
-                prefix_words(start, start + A, width(len(flat))), len(flat))
-            pol = dict(zip(degrees, map(tuple, rows.tolist())))
-            return BettiTable(I.ring, {(i, pol[mu]): v for (i, mu), v
-                                       in table.entries.items()})
+        table = graded_betti(D.ideal, face_cap, lattice_cap, p)
+        degrees = list({mu for _, mu in table.entries})
+        A = np.array(degrees, dtype=np.int64).reshape(-1, len(D.chains))
+        # the chains' variables in chain order are the slots of pol(a)
+        flat = [v for chain in D.chains for v in chain]
+        lens = np.array([len(chain) for chain in D.chains])
+        start = np.cumsum(lens) - lens
+        rows = np.zeros((len(A), I.n), dtype=np.int64)
+        rows[:, flat] = words_to_rows(
+            prefix_words(start, start + A, width(len(flat))), len(flat))
+        pol = dict(zip(degrees, map(tuple, rows.tolist())))
+        return BettiTable(I.ring, {(i, pol[mu]): v for (i, mu), v
+                                   in table.entries.items()})
     kernel, G, layout = _betti_plan(I, lattice_cap)
     if kernel == "grid":
         return BettiTable(I.ring, _grid_betti(G, layout, face_cap, p))

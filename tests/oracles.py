@@ -188,9 +188,13 @@ def alexander_dual_facets(facets, nverts):
     return maximal_sets(dual)
 
 
-def dense_rank(rows):
-    """Rank of a dense matrix given as a list of row lists, exact over Q."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def dense_rank(rows, p=None):
+    """Rank of a dense matrix given as a list of row lists, exact over Q,
+    or over F_p when p is given."""
+    def red(x):
+        return Fraction(x) if p is None else x % p
+
+    mat = [[red(x) for x in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
     col = 0
@@ -200,19 +204,20 @@ def dense_rank(rows):
             col += 1
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        inv = 1 / mat[rank][col] if p is None else pow(mat[rank][col], -1, p)
+        mat[rank] = [red(x * inv) for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[rank])]
+                mat[r] = [red(x - c * y) for x, y in zip(mat[r], mat[rank])]
         rank += 1
         col += 1
     return rank
 
 
-def homology_dims(facets):
-    """Reduced rational homology dimensions, index k holding degree k - 1.
+def homology_dims(facets, p=None):
+    """Reduced homology dimensions, index k holding degree k - 1, over Q,
+    or over F_p when p is given.
 
     Void input gives []; the complex {emptyset} gives [1].
     """
@@ -232,7 +237,7 @@ def homology_dims(facets):
             for k in range(len(verts)):
                 sub = frozenset(verts[:k] + verts[k + 1:])
                 rows[lower[sub]][j] = (-1) ** k
-        ranks[d] = dense_rank(rows) if rows else 0
+        ranks[d] = dense_rank(rows, p) if rows else 0
     dims = []
     for d in range(-1, top + 1):
         dims.append(len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0))

@@ -3,6 +3,7 @@ import inspect
 import sys
 import time
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -386,6 +387,29 @@ def test_min_chain_partition_of_polarizations(P):
         assert oracles.is_chain(poset, c)
     assert min_chain_partition(oracles.ordered_support_poset(P)) == cp
     assert depolarize(P).chains == cp
+
+
+@st.composite
+def squarefree_ideals(draw):
+    """Squarefree ideals on 1-10 variables, some of them in no generator,
+    or, one case in two, polarizations, whose blocks do depolarize."""
+    if draw(st.booleans()):
+        return draw(polarized_ideals())
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(row.filter(any), min_size=1, max_size=8))
+    return MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), gens)
+
+
+@given(squarefree_ideals(), st.sampled_from([1, 3, 1 << 22]))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_joins_variables_is_exact(I, block):
+    # blocks of one row, a few rows, and one block
+    with patch.object(depolarization, "_BLOCK", block):
+        joins = depolarization._joins_variables(I)
+    assert joins == (len(depolarize(I).chains) < I.n)
 
 
 def test_long_chain_depolarizes_fast_without_recursion():

@@ -11,6 +11,7 @@ import oracles
 from depolar import homology
 from depolar.ideals import Ring, MonomialIdeal, InputError, ResourceLimit
 from depolar.complexes import SimplicialComplex, facet_complement_complex
+from depolar.depolarization import depolarize
 from depolar.families import gen_variable_powers
 from depolar.homology import (reduced_homology_dims, hochster_betti,
                               BettiTable, depolarized_complex, graded_betti,
@@ -40,11 +41,14 @@ def test_homology_conventions():
     assert reduced_homology_dims(cone) == [0, 0, 0, 0]
 
 
+# antipodal icosahedron quotient, the real projective plane on 6 vertices
+RP2 = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+       (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)]
+
+
 def test_homology_torsion_prime():
-    # antipodal icosahedron quotient: 2-torsion shows only in char 2
-    rp2 = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
-           (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6)]
-    cx = cx_of(7, [tuple(i - 1 for i in f) for f in rp2])
+    # 2-torsion shows only in char 2
+    cx = cx_of(7, RP2)
     assert reduced_homology_dims(cx) == [0, 0, 0, 0]
     assert reduced_homology_dims(cx, p=2) == [0, 0, 1, 1]
     assert reduced_homology_dims(cx, p=3) == [0, 0, 0, 0]
@@ -72,6 +76,59 @@ def test_homology_face_cap():
     with pytest.raises(ResourceLimit):
         reduced_homology_dims(sphere, face_cap=3)
     assert reduced_homology_dims(sphere, face_cap=15) == [0, 0, 0, 1]
+
+
+# ------------------------------------------------------------ the one kernel
+
+def oracle_faces(facets):
+    """The faces of the complex with these facets, by dimension, as
+    ascending masks, from the oracle's closure."""
+    out = {}
+    for f in oracles.closure_faces(facets):
+        out.setdefault(len(f) - 1, []).append(sum(1 << v for v in f))
+    return {d: sorted(group) for d, group in out.items()}
+
+
+@st.composite
+def facet_lists(draw):
+    n = draw(st.integers(1, 8))
+    return draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=7))
+
+
+@given(facet_lists(), st.sampled_from([None, 2, 3]))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_face_homology_matches_the_oracle(facets, p):
+    assert (homology._face_homology(oracle_faces(facets), p)
+            == oracles.homology_dims(facets, p))
+
+
+@pytest.mark.parametrize("p, want", [(None, [0, 0, 0, 0]),
+                                     (2, [0, 0, 1, 1]),
+                                     (3, [0, 0, 0, 0])])
+def test_face_homology_of_the_projective_plane(p, want):
+    assert homology._face_homology(oracle_faces(RP2), p) == want
+    assert oracles.homology_dims(RP2, p) == want
+
+
+@pytest.mark.parametrize("p", [None, 2])
+def test_clearing_leaves_out_the_bounded_columns(monkeypatch, p):
+    # the boundary of the 9-simplex: the boundary of the d-faces gets the
+    # C(10, d+1) of them less the C(9, d+1) pivots of the (d+1)-faces,
+    # and the boundary of the vertices takes no elimination
+    sizes = []
+    rank = homology._rank
+
+    def counted(cols, p):
+        sizes.append(len(cols))
+        return rank(cols, p)
+    monkeypatch.setattr(homology, "_rank", counted)
+    faces = {}
+    for m in range(2 ** 10 - 1):
+        faces.setdefault(m.bit_count() - 1, []).append(m)
+    assert homology._face_homology(faces, p) == [0] * 9 + [1]
+    assert sizes == [10, 36, 84, 126, 126, 84, 36, 9]
+    assert sum(sizes) == 511
 
 
 def random_ideal(rng, n, ngens, emax):
@@ -321,3 +378,28 @@ def test_polarized_complex_reduces_to_its_chains():
     want = [0] * (cx.dim + 2)
     want[9] = 1
     assert reduced_homology_dims(cx) == want
+
+
+def test_reduction_pass_runs_only_where_it_can_shrink(monkeypatch):
+    calls = []
+    monkeypatch.setattr(homology, "depolarize",
+                        lambda I: calls.append(I) or depolarize(I))
+    # no vertex of the boundary of the 3-simplex joins another on a chain
+    sphere = cx_of(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    assert depolarized_complex(sphere) is sphere
+    assert reduced_homology_dims(sphere) == [0, 0, 0, 1]
+    squares = MonomialIdeal.from_gens(Ring(["a", "b", "c", "d"]),
+                                      [(2, 0, 0, 0), (0, 2, 0, 0),
+                                       (0, 0, 2, 0), (0, 0, 0, 2)])
+    assert hochster_betti(squares, (2, 2, 2, 2)) == [0, 0, 0, 1]
+    triangle = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),
+                                       [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    assert graded_betti(triangle).totals() == [3, 2]
+    assert calls == []
+    # a polarized complex and a polarized ideal do shrink
+    P = polarize_ideal(gen_variable_powers(3, 2))[0]
+    assert reduced_homology_dims(facet_complement_complex(P)) \
+        == [0, 0, 1, 0, 0]
+    assert len(calls) >= 1
+    assert graded_betti(P).totals() == [3, 3, 1]
+    assert len(calls) >= 2
