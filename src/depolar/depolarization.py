@@ -38,29 +38,33 @@ def singleton_partition(poset):
     return tuple((i,) for i in poset.elements)
 
 
-# entries of one float64 block in _successors: its column blocks and the
-# intersection sizes of one block of rows stay near 32 MiB each
+# entries of one float64 block in _intersections: its column blocks and
+# the intersection sizes of one block of rows stay near 32 MiB each
 _BLOCK = 1 << 22
+
+
+def _intersections(rows):
+    """The float64 intersection sizes of the 0/1 rows of an (N, C) array
+    with each other, as (lo, sizes) per block of _BLOCK / N rows from row
+    lo.  They are summed over blocks of columns, each cast to float64 for
+    its own product (exact below 2^53), so the float copy stays near
+    _BLOCK entries however many columns there are."""
+    step = max(1, _BLOCK // len(rows))
+    for lo in range(0, len(rows), step):
+        inter = np.zeros((len(rows[lo:lo + step]), len(rows)))
+        for c in range(0, rows.shape[1], step):
+            K = rows[:, c:c + step].astype(np.float64)
+            inter += K[lo:lo + step] @ K.T
+        yield lo, inter
 
 
 def _successors(cols):
     """Successor lists of the strict order on distinct 0/1 rows: b follows
-    a when row b lies strictly inside row a, found from the pairwise
-    intersection sizes, one block of rows at a time.  Each block's sizes
-    are summed over blocks of columns, each cast to float64 for its own
-    product (exact: the counts stay far below 2^53), so the float copy
-    stays near _BLOCK entries however many columns there are."""
+    a when row b lies strictly inside row a, read off _intersections."""
     size = cols.sum(1)
-    step = max(1, _BLOCK // len(cols))
     out = []
-    for lo in range(0, len(cols), step):
-        blocks = (cols[:, c:c + step].astype(np.float64)
-                  for c in range(0, cols.shape[1], step))
-        K = next(blocks)
-        inter = K[lo:lo + step] @ K.T
-        for K in blocks:
-            inter += K[lo:lo + step] @ K.T
-        inside = (inter == size) & (size[lo:lo + step, None] > size)
+    for lo, inter in _intersections(cols):
+        inside = (inter == size) & (size[lo:lo + len(inter), None] > size)
         out.extend(np.flatnonzero(row).tolist() for row in inside)
     return out
 
@@ -128,17 +132,11 @@ def min_chain_partition(poset):
 
 def _joins_variables(I):
     """Whether depolarize(I) has fewer chains than the squarefree ideal I
-    has variables, read off its generator incidence: exactly when some
-    variable lies in no generator, or the generators of one variable all
-    hold another (equal sets included), since min_chain_partition then
-    puts the two on one chain.  The column intersection sizes are summed
-    over blocks of rows, each cast to float64 as in _successors."""
-    A = words_to_rows(I.words, I.n)
-    step = max(1, _BLOCK // I.n)
-    inter = np.zeros((I.n, I.n))
-    for lo in range(0, len(A), step):
-        B = A[lo:lo + step].astype(np.float64)
-        inter += B.T @ B
+    has variables: exactly when some variable lies in no generator, or the
+    generators of one variable all hold another, equal sets included, which
+    min_chain_partition then chains: read off the columns' _intersections."""
+    inter = np.concatenate([sizes for _, sizes in _intersections(
+        words_to_rows(I.words, I.n).T)])
     size = inter.diagonal()
     inside = inter == size[:, None]
     np.fill_diagonal(inside, False)

@@ -12,9 +12,9 @@ import numpy as np
 
 from .complexes import facet_complement_complex, facet_complement_ideal
 from .depolarization import Depolarization, depolarize
-from .hypergraph import (_GRID_AXES, _closed_grid, _column_keys, _dual_plan,
-                         _subsets, alexander_dual_ideal, level_slots,
-                         prefix_words, rows_to_words, width)
+from .hypergraph import (_closed_grid, _column_keys, _dual_plan, _subsets,
+                         alexander_dual_ideal, level_slots, prefix_words,
+                         rows_to_words, width, within_grid_bytes)
 from .ideals import InputError, MonomialIdeal, ResourceLimit, check_exponent
 
 DEFAULT_EXPANSION_CAP = 10 ** 7
@@ -35,26 +35,31 @@ def _fiber_sizes(G, mu):
     return dims, np.array([math.prod(d) for d in dims.tolist()], dtype=object)
 
 
-def _grid_cells(own, top, budget=None):
+def _grid_cells(own, top, budget=None, cap=None):
     """The union of the boxes own <= c <= top of the rows own, all on one
     support, as disjoint boxes: the lower corners, per-variable sizes and
     sizes of the inside cells of their level grid, or None when the grid
-    has more than budget cells or more than _GRID_AXES axes.  Each
+    has more than budget cells or its bool array is over _GRID_BYTES.  Each
     variable of the support on which own takes several levels is an axis
-    cut at those levels, cell j running from the j-th level to just below
-    the next, the last up to top; on a variable of one level every box
-    runs from that level to top.  A cell lies wholly inside the union or
-    wholly outside it, and it is inside when some row's cell lies at or
-    below it on every axis."""
+    cut at those levels, the last cell up to top; on a variable of one
+    level every box runs from that level to top.  A cell lies wholly in
+    the union, when some row's cell lies at or below it on every axis, or
+    wholly outside it.  cap bounds the rows written, one or more per inside
+    cell, so more inside cells than cap raise ResourceLimit unlisted."""
     slot, level, lo, hi = level_slots(own, own > 0)
     axes = np.flatnonzero(hi - lo > 1)
     shape = tuple((hi - lo)[axes].tolist())
-    if len(axes) > _GRID_AXES or (budget is not None
-                                  and math.prod(shape) > budget):
+    if not within_grid_bytes(shape) or (budget is not None
+                                        and math.prod(shape) > budget):
         return None
     # a single row has a grid of no axes and one cell
-    cells = np.nonzero(np.atleast_1d(_closed_grid(
-        shape, tuple((slot[:, axes] - lo[axes]).T))))
+    grid = np.atleast_1d(_closed_grid(shape,
+                                      tuple((slot[:, axes] - lo[axes]).T)))
+    inside = np.count_nonzero(grid)
+    if cap is not None and inside > cap:
+        raise ResourceLimit(f"fibers on one support have at least {inside} "
+                            f"elements, cap {cap}")
+    cells = np.nonzero(grid)
     # off the axes every box runs from own's one level to top, or is 0
     corner = np.repeat(own[:1], len(cells[0]), axis=0)
     dim = np.repeat(np.where(own[:1] > 0, top + 1 - own[:1], 1),
@@ -113,7 +118,7 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     _ROWS_OFF box rows is a batch on its own too, written out from the
     inside cells of its level grid (_grid_cells), disjoint boxes that hold
     each row once, when the cells are few next to its box rows
-    (_CELLS_PER_ROW) and within cartesian_cap.  Per batch:
+    (_CELLS_PER_ROW) and its bool grid fits _GRID_BYTES.  Per batch:
 
     - its rows are enumerated from the grid's cells or from the boxes,
       and duplicate rows dropped by one lexsort when a support written
@@ -127,9 +132,9 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
       from depolarize or polarize_ideal, as the mask of its copies, in
       passes of _NAME_STEP rows.
 
-    cartesian_cap bounds the rows one support writes: its cells' rows when
-    it is written from its grid, its summed box rows otherwise.  It is
-    checked for each batch before the batch's rows are built.
+    cartesian_cap bounds the rows one support writes, its cells' or its
+    boxes': before a grid's inside cells are listed, from their count, and
+    before a batch's rows are built.
     """
     if Jdual.is_zero:
         raise InputError("cannot expand the zero ideal")
@@ -186,8 +191,8 @@ def repolarize_dual(Jdual, mu, D, cartesian_cap=DEFAULT_EXPANSION_CAP):
     rows = []
     for s0, s1 in zip(cuts, cuts[1:]):
         b0, b1 = firsts[s0], firsts[s1]
-        box = alone[s0] and _grid_cells(G[b0:b1], top, min(
-            cartesian_cap, _CELLS_PER_ROW * (int(totals[s0]) - _ROWS_OFF)))
+        box = alone[s0] and _grid_cells(G[b0:b1], top, _CELLS_PER_ROW * (
+            int(totals[s0]) - _ROWS_OFF), cartesian_cap)
         corner, dim, size = box or (G[b0:b1], dims[b0:b1], sizes[b0:b1])
         most = size.sum() if box else totals[s0:s1].max()
         if most > cartesian_cap:

@@ -14,17 +14,17 @@ sweeps the lcm lattice when the grid is too large.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 
 from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex,
                         facet_complement_ideal, koszul_complex, koszul_rows)
 from .depolarization import _joins_variables, depolarize
-from .hypergraph import (_closed_grid, _column_keys, _distinct, cone_free,
-                         from_words, koszul_patterns, level_slots, popcounts,
+from .hypergraph import (_column_keys, _distinct, cone_free, from_words,
+                         koszul_patterns, level_grid, level_slots, popcounts,
                          prefix_words, restricted_patterns, rows_to_words,
-                         width, words_to_rows)
+                         width, within_grid_bytes, words_to_rows)
 from .ideals import DEFAULT_LATTICE_CAP, InputError, ResourceLimit
 
 
@@ -236,29 +236,18 @@ class BettiTable:
         return "\n".join(lines)
 
 
-# bytes of Koszul pattern words the Betti grid may hold.  jknm(8) (390,625
-# cells of 4 words) holds 12.5 MB, and its grid's arrays peaked at 22 MB
-# under tracemalloc; jknm(9) (1,953,125 cells of 8 words) would hold
-# 125 MB and takes the sweep
-_PATTERN_BYTES = 1 << 25
-
-
-def _betti_plan(I, lattice_cap):
+def _betti_plan(I):
     """The kernel that computes the Betti numbers of I ("grid" or "sweep"),
-    the exponents G of I and the level_slots layout of their nonzero
-    entries.  The grid has one axis per variable of I's generators, and
-    one cell per distinct nonzero level of it plus one below; it is taken
-    when its cells fit lattice_cap and its patterns, a word per 64 of the
-    2^n bits per cell, fit _PATTERN_BYTES."""
+    the exponents G of I and their level_slots layout.  The level grid is
+    taken when its patterns, a word per 64 of the 2^n bits of each cell
+    on n axes, fit _GRID_BYTES."""
     if I.is_zero:
         raise InputError("the zero ideal has no Betti numbers")
     G = I._exponents()
     layout = level_slots(G, G > 0)
     lo, hi = layout[2], layout[3]
-    n = int(np.count_nonzero(hi > lo))
-    cells = prod((hi - lo + 1).tolist())
-    grid = cells <= lattice_cap \
-        and cells * 8 * width(2 ** n) <= _PATTERN_BYTES
+    shape = (hi - lo + 1)[hi > lo].tolist()
+    grid = within_grid_bytes(shape, 8 * width(2 ** len(shape)))
     return "grid" if grid else "sweep", G, layout
 
 
@@ -275,12 +264,8 @@ def _grid_betti(G, layout, face_cap, p):
     once per distinct form, reading the faces off its bits.  face_cap
     bounds the faces of each form."""
     slot, level, lo, hi = layout
-    axes = np.flatnonzero(hi > lo)
-    shape = tuple((hi - lo + 1)[axes].tolist())
+    axes, grid = level_grid(slot, lo, hi)
     n = len(axes)
-    sub = slot[:, axes]
-    grid = _closed_grid(shape, tuple(np.where(sub >= 0, sub - lo[axes] + 1,
-                                              0).T))
     keep, pat, used = cone_free(koszul_patterns(grid), n)
     forms = restricted_patterns(pat, used)
     keys = _column_keys(forms)
@@ -302,7 +287,8 @@ def _grid_betti(G, layout, face_cap, p):
     form = form[hit].tolist()
     # the corner of cell c on axis i is level c of it, 0 for cell 0
     corners = np.zeros((len(form), len(lo)), dtype=np.int64)
-    for ax, cell in zip(axes.tolist(), np.unravel_index(keep[hit], shape)):
+    for ax, cell in zip(axes.tolist(), np.unravel_index(keep[hit],
+                                                        grid.shape)):
         corners[:, ax] = np.where(cell > 0, level[lo[ax] + cell - 1], 0)
     entries = {}
     for mu, f in zip(map(tuple, corners.tolist()), form):
@@ -322,8 +308,8 @@ def _sweep_betti(I, face_cap, lattice_cap, p):
     ints, keys the complex on vertices 0..c-1.  Distinct keys are built
     once, and the homology is computed once per distinct complex among
     them, in memos that live for this call.  Points with one complex have
-    equal face counts, so face_cap fires at the point where it would
-    computing one complex per point.
+    equal face counts, so face_cap fires at the same point as it would
+    when computing one complex per point.
     """
     points = I.lcm_lattice(lattice_cap)
     G = I._exponents()
@@ -372,9 +358,10 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
     generator incidence, is depolarized first: with J = depolarize(I).ideal,
     beta_{i,a}(J) = beta_{i,pol(a)}(I), where pol(a) sets the first a_c
     variables of chain c, since pol maps the lcm lattice of J onto that of
-    I.  _betti_plan then sends the ideal to its level grid (_grid_betti)
-    or to the lcm lattice sweep (_sweep_betti).  lattice_cap bounds the grid's cells or the lattice's
-    points, face_cap the faces of each complex whose homology is computed.
+    I.  _betti_plan then sends the ideal to its level grid (_grid_betti),
+    or to the lcm lattice sweep (_sweep_betti) when the grid's patterns are
+    over _GRID_BYTES.  lattice_cap bounds the sweep's lattice points, and
+    face_cap the faces of each complex whose homology is computed.
     """
     _check_modulus(p)
     if I.is_squarefree() and not I.is_zero and _joins_variables(I):
@@ -392,7 +379,7 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
         pol = dict(zip(degrees, map(tuple, rows.tolist())))
         return BettiTable(I.ring, {(i, pol[mu]): v for (i, mu), v
                                    in table.entries.items()})
-    kernel, G, layout = _betti_plan(I, lattice_cap)
+    kernel, G, layout = _betti_plan(I)
     if kernel == "grid":
         return BettiTable(I.ring, _grid_betti(G, layout, face_cap, p))
     return BettiTable(I.ring, _sweep_betti(I, face_cap, lattice_cap, p))

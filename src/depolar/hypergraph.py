@@ -14,25 +14,21 @@ minimal-elements kernel.  A vertex set is the case of one slot per block,
 and the dual of a squarefree ideal is the set of minimal transversals of
 its generator supports.
 
-alexander_dual_ideal has two kernels on one slot layout (level_slots),
-picked by _dual_plan from the layout's level counts alone.  _staircase
-reads the dual off a dense grid of the levels, one axis per used variable:
-the maximal standard cells of the ideal give the dual generators.  It
-pays on few variables with many generators, the compact side of a
-depolarization.  Its upward closure, _closed_grid, is the level grid
-helper that repolarize_dual shares to write out the union of the boxes
-of one support.  berge_fold serves every other input.  It tests the joins
-of a row only against the masks that meet the row exactly once: a join
-sets one slot of the row, so any mask inside it meets the row once, at
-that slot.  On a row of first slots only (every squarefree row) a join
-adds that one slot, so a mask u kills the join of t at the slot where u
-meets the row exactly when u minus the row lies inside t; one containment
-test per (t, u) pair decides it.
-
-The same level grid carries the Koszul complexes of an ideal for
-homology.graded_betti: koszul_patterns gives each cell its complex as a
-word pattern of 2^n bits, cone_free drops the cones, and
-restricted_patterns cuts each pattern down to the axes it holds.
+The level grid of the same layout (level_grid) has an axis per used
+variable and a cell per distinct level plus one below.  Three kernels read
+it.  _staircase reads the Alexander dual off its maximal standard cells;
+_dual_plan picks it on few variables with many generators, the compact
+side of a depolarization, and berge_fold otherwise.  The fold tests the
+joins of a row only against the masks that meet the row exactly once: a
+join sets one slot of the row, so any mask inside it meets the row once,
+at that slot.  On a row of first slots only (every squarefree row) a join
+adds that one slot, so u kills the join of t at the slot where u meets the
+row exactly when u minus the row lies inside t: one test per (t, u) pair.
+homology.graded_betti reads the Koszul complexes off the grid
+(koszul_patterns gives each cell its complex as 2^n bits, cone_free drops
+the cones, restricted_patterns cuts each pattern to its axes), and
+repolarize_dual writes one support's rows from the inside cells of its
+grid.  _GRID_BYTES bounds the last two.
 """
 
 import math
@@ -380,9 +376,8 @@ def _closed_grid(shape, marks):
     """Bool grid of the given shape holding the upward closure of the cells
     marks, one index array per axis: a cell is set when some marked cell
     lies at or below it on every axis.  Each axis is closed in place, by an
-    OR of every slab into the next when its slabs hold at least _SLAB
-    cells, one numpy call per slab, and by np.logical_or.accumulate when
-    they are smaller, where a call per slab costs more than the walk."""
+    OR of every slab into the next when its slabs hold _SLAB cells or more,
+    and by np.logical_or.accumulate when a call per slab costs more."""
     grid = np.zeros(shape, dtype=bool)
     grid[marks] = True
     for ax in range(grid.ndim):
@@ -393,6 +388,28 @@ def _closed_grid(shape, marks):
             for j in range(1, len(slabs)):
                 slabs[j] |= slabs[j - 1]
     return grid
+
+
+def level_grid(slot, lo, hi):
+    """The used columns of a level_slots layout and its closed level grid:
+    an axis per used column, cell j from its j-th level to just below the
+    next, where each row marks the cell of its levels, 0 where unused."""
+    axes = np.flatnonzero(hi > lo)
+    sub = slot[:, axes]
+    return axes, _closed_grid(tuple((hi - lo + 1)[axes].tolist()), tuple(
+        np.where(sub >= 0, sub - lo[axes] + 1, 0).T))
+
+
+# bytes a level grid may hold: the Betti patterns, and a repolarized
+# support's bool grid.  jknm(8)'s patterns (5^8 cells of 4 words) hold
+# 12.5 MB; jknm(9)'s would hold 125 MB.  An axis has 2 cells or more, so
+# a grid within the budget, below 2^32 bytes, has fewer than 32 axes.
+_GRID_BYTES = 1 << 25
+
+
+def within_grid_bytes(shape, cell_bytes=1):
+    """Whether a grid of this shape, cell_bytes per cell, fits _GRID_BYTES."""
+    return math.prod(shape) * cell_bytes <= _GRID_BYTES
 
 
 # _FREE[i], i < 6: the bits F of a word whose set of axes F misses axis i
@@ -496,27 +513,18 @@ def restricted_patterns(pat, used):
     return pat
 
 
-def _staircase(slot, level, lo, hi, cap=None):
-    """(N, n) rows of the generators a - c, c a maximal standard monomial of
-    the ideal I that the levels a + 1 - g of alexander_dual_ideal encode,
-    in the level_slots layout slot, level, lo, hi of those levels.
+def _staircase(slot, level, lo, hi, a, cap=None):
+    """(N, n) rows of the generators a - c of the Alexander dual of the
+    ideal in the layout slot, level, lo, hi, c a maximal standard monomial.
 
-    Each used variable x_i is one axis of a grid.  With v_1 < ... < v_k
-    the distinct generator exponents of x_i, cell 0 holds the exponents
-    below v_1, cell j those from v_j to v_(j+1) - 1, and cell k those from
-    v_k to a_i, so I holds all of a cell or none of it.
-    A generator marks its own cell, and _closed_grid closes the marks
-    upward into I.  A cell outside I whose next cell on every axis
-    is in I, or past the last, is maximal standard, and a minus its upper
-    corner sets each variable to the level of the slot just above that
-    corner, 0 for the last cell.  cap bounds the number of rows, which
-    nothing holds before the grid is done, with the fold's message.
+    With v_1 < ... < v_k the levels of axis i, cell j of level_grid holds
+    the exponents from v_j to v_(j+1) - 1, and cell k those up to a_i.  A
+    cell outside the ideal whose next cell on every axis is in it, or past
+    the last, is maximal standard, and a - c sets x_i to a_i + 1 - v_(j+1),
+    0 for the last cell.  cap bounds the number of rows, which nothing
+    holds before the grid is done, with the fold's message.
     """
-    axes = np.flatnonzero(hi > lo)
-    top, sub = hi[axes], slot[:, axes]
-    # the largest exponent gets the smallest level, slot lo; 0 is cell 0
-    grid = _closed_grid(tuple((top - lo[axes] + 1).tolist()),
-                        tuple(np.where(sub >= 0, top - sub, 0).T))
+    axes, grid = level_grid(slot, lo, hi)
     maximal = ~grid
     for ax in range(len(axes)):
         np.swapaxes(maximal, 0, ax)[:-1] &= np.swapaxes(grid, 0, ax)[1:]
@@ -525,21 +533,23 @@ def _staircase(slot, level, lo, hi, cap=None):
         raise ResourceLimit(f"{count} minimal masks exceed cap {cap}")
     rows = np.zeros((count, len(slot[0])), dtype=np.int64)
     for ax, cell in zip(axes, np.nonzero(maximal)):
-        # level[-1] is read only for the last cell, where the row takes 0
-        rows[:, ax] = np.where(cell < hi[ax] - lo[ax],
-                               level[hi[ax] - 1 - cell], 0)
+        # the last cell reads a clipped level, and its row takes 0
+        rows[:, ax] = np.where(cell < hi[ax] - lo[ax], a[ax] + 1 - level.take(
+            lo[ax] + cell, mode="clip"), 0)
     return rows
 
 
-def _fold(G, slot, level, lo, hi, cap=None):
+def _fold(G, slot, level, lo, hi, a, cap=None):
     """The same rows as _staircase, from berge_fold over the generators in
-    colex order.  On squarefree generators that is the ascending mask
-    order, so once every edge inside the first k vertices is in, the state
-    is the transversal set of those edges, never larger than the final
-    one."""
-    T = berge_fold(slot[np.lexsort(G.T)], np.repeat(lo, hi - lo), cap)
+    colex order, which on squarefree generators keeps the state no larger
+    than the final one.  The fold's blocks ascend in the dual's levels
+    a + 1 - g, so it reads each block of the layout mirrored."""
+    block = np.repeat(np.arange(len(lo)), hi - lo)
+    mirror = (lo + hi - 1)[block] - np.arange(len(level))
+    T = berge_fold(np.where(slot >= 0, mirror[slot], -1)[np.lexsort(G.T)],
+                   lo[block], cap)
     # the top slot set in block i holds t_i
-    return slot_levels(T, level, lo, hi)
+    return slot_levels(T, a[block] + 1 - level[mirror], lo, hi)
 
 
 # the grid is taken when axes * cells <= _GRID_PER_GEN * generators.  With
@@ -561,11 +571,11 @@ _GRID_AXES = 32
 
 
 def _dual_plan(I, a=None):
-    """The exponents G of I, the level_slots layout of the dual's levels
-    a + 1 - g, the kernel that computes the dual ("grid" or "fold") and the
-    grid's cell count.  The grid is taken on at most _GRID_AXES used
-    variables when axes * cells <= _GRID_PER_GEN * len(G), so its bool
-    array holds at most _GRID_PER_GEN * len(G) / axes bytes."""
+    """The exponents G of I, their level_slots layout with the dual bound a
+    after it, the kernel ("grid" or "fold") and the grid's cell count.  The
+    grid is taken on at most _GRID_AXES used variables when axes * cells
+    <= _GRID_PER_GEN * len(G), so its bool array holds at most
+    _GRID_PER_GEN * len(G) / axes bytes."""
     if I.is_zero:
         raise InputError("the zero ideal dualizes to the unit ideal")
     G = I._exponents()
@@ -576,13 +586,13 @@ def _dual_plan(I, a=None):
         a = check_exponent(a, I.n)
         if not divides(mu, a):
             raise InputError(f"dual bound {a} must dominate {mu}")
-    slot, level, lo, hi = level_slots(np.array(a, dtype=np.int64) + 1 - G,
-                                      G > 0)
+    slot, level, lo, hi = level_slots(G, G > 0)
     sizes = (hi - lo)[hi > lo].tolist()
     cells = math.prod(k + 1 for k in sizes)
     grid = (len(sizes) <= _GRID_AXES
             and len(sizes) * cells <= _GRID_PER_GEN * len(G))
-    return G, (slot, level, lo, hi), "grid" if grid else "fold", cells
+    return (G, (slot, level, lo, hi, np.array(a, dtype=np.int64)),
+            "grid" if grid else "fold", cells)
 
 
 def alexander_dual_ideal(I, a=None, cap=None, *, _plan=None):

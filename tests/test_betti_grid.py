@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from depolar import homology
+from depolar import hypergraph
 from depolar.depolarization import depolarize
 from depolar.families import gen_jknm, gen_power_ideal, gen_variable_powers
 from depolar.homology import (_betti_plan, _grid_betti, _sweep_betti,
@@ -41,7 +41,7 @@ def ideals(draw, max_n=5, emax=4, max_gens=8):
 
 
 def grid_and_sweep(I, p=None):
-    kernel, G, layout = _betti_plan(I, CAP)
+    kernel, G, layout = _betti_plan(I)
     assert kernel == "grid"
     return (_grid_betti(G, layout, CAP, p),
             _sweep_betti(I, CAP, CAP, p))
@@ -176,7 +176,7 @@ def test_complete_intersection_on_ten_axes():
     # 2^10 cells of 16 words: every cell but the lowest is a lattice point
     # with one nonzero Betti number, on 10 distinct canonical forms
     I = gen_variable_powers(10, 2)
-    assert _betti_plan(I, CAP)[0] == "grid"
+    assert _betti_plan(I)[0] == "grid"
     T = graded_betti(I)
     assert T.totals() == [comb(10, i + 1) for i in range(10)]
     assert len(T.entries) == 2 ** 10 - 1
@@ -191,7 +191,7 @@ def test_more_than_six_axes_against_the_oracle():
                          (0, 0, 1, 1, 1, 0, 0, 1), (1, 0, 0, 1, 0, 1, 1, 0),
                          (0, 0, 0, 0, 1, 1, 0, 2)])]:
         I = MonomialIdeal.from_gens(ring(n), gens)
-        assert _betti_plan(I, CAP)[0] == "grid"
+        assert _betti_plan(I)[0] == "grid"
         assert graded_betti(I).entries == oracles.betti_numbers(list(I.gens))
 
 
@@ -199,31 +199,48 @@ def test_caps_on_the_grid_path():
     # at (1, 1, 2) the Koszul complex is the hollow triangle: 7 faces
     I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),
                                 [(1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2)])
-    kernel, G, layout = _betti_plan(I, CAP)
+    kernel, G, layout = _betti_plan(I)
     assert kernel == "grid"
     with pytest.raises(ResourceLimit, match="face count exceeds cap 6"):
         _grid_betti(G, layout, 6, None)
     assert _grid_betti(G, layout, 7, None) == oracles.betti_numbers(
         list(I.gens))
-    # 12 cells hold 8 lattice points: a cap below the cells sends the
-    # ideal to the sweep, which fails below the points
-    assert _betti_plan(I, 12)[0] == "grid"
-    assert _betti_plan(I, 11)[0] == "sweep"
+    # 12 cells hold 8 lattice points: the grid lists no lattice, so
+    # lattice_cap leaves it alone, and bounds the sweep's points
     assert len(I.lcm_lattice()) == 8
-    assert graded_betti(I, lattice_cap=8).entries == \
+    assert graded_betti(I, lattice_cap=1).entries == \
         oracles.betti_numbers(list(I.gens))
+    assert _sweep_betti(I, CAP, 8, None) == oracles.betti_numbers(
+        list(I.gens))
     with pytest.raises(ResourceLimit, match="lcm lattice exceeds cap 7"):
-        graded_betti(I, lattice_cap=7)
+        _sweep_betti(I, CAP, 7, None)
+
+
+@given(ideals())
+@RUNS
+def test_more_cells_than_the_lattice_cap_take_the_grid(I):
+    # lattice_cap bounds the sweep's lattice, never the grid's cells
+    kernel, _, (_, _, lo, hi) = _betti_plan(I)
+    assert kernel == "grid" and (hi - lo + 1).prod() > 1
+    assert graded_betti(I, lattice_cap=1).entries == oracles.betti_numbers(
+        list(I.gens))
 
 
 def test_pattern_words_stay_within_the_byte_bound():
     # jknm(8): 5^8 cells of 4 words, 12.5 MB of the 32 MiB bound; one more
     # variable takes the sweep
     I = gen_jknm(8)
-    kernel, _, (_, _, lo, hi) = _betti_plan(I, homology.DEFAULT_LATTICE_CAP)
+    kernel, _, (_, _, lo, hi) = _betti_plan(I)
     assert kernel == "grid"
-    assert (hi - lo + 1).prod() * 4 * 8 <= homology._PATTERN_BYTES
-    assert _betti_plan(gen_jknm(9), homology.DEFAULT_LATTICE_CAP)[0] == "sweep"
+    assert (hi - lo + 1).prod() * 4 * 8 <= hypergraph._GRID_BYTES
+    assert _betti_plan(gen_jknm(9))[0] == "sweep"
+
+
+def test_grid_bytes_keep_grids_below_32_axes():
+    # every axis of a budgeted grid has 2 cells or more, so a grid within
+    # the budget has fewer than the 32 axes of numpy 1.24's arrays
+    assert hypergraph._GRID_BYTES < 2 ** 32
+    assert not hypergraph.within_grid_bytes((2,) * 32)
 
 
 def test_disjoint_supports_depolarize_first():

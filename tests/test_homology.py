@@ -1,7 +1,6 @@
 """Exact simplicial homology, Koszul-complex Betti numbers, tables."""
 
 import json
-import random
 
 import numpy as np
 import pytest
@@ -176,8 +175,20 @@ def test_graded_betti_matches_oracle(rng, monkeypatch):
     assert 0 < len(calls) < points
 
 
+def squares_and_cycle(n):
+    """x_i^2 and x_i x_(i+1) around an n-cycle.  From n = 12 on, its grid's
+    patterns, 3^n cells of 2^n bits, are over the byte budget, so its Betti
+    numbers take the sweep."""
+    gens = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
+    gens += [tuple(1 if j in (i, (i + 1) % n) else 0 for j in range(n))
+             for i in range(n)]
+    return MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]),
+                                   sorted(gens))
+
+
 def test_graded_betti_checks_modulus_first():
-    I = random_ideal(random.Random(3), 4, 6, 2)
+    I = squares_and_cycle(12)
+    assert homology._betti_plan(I)[0] == "sweep"
     with pytest.raises(InputError):
         graded_betti(I, p=4, lattice_cap=1)
     with pytest.raises(ResourceLimit):
@@ -289,12 +300,9 @@ def test_betti_diagram_golden():
 
 
 def test_graded_betti_lattice_cap():
-    R = Ring([f"x{i}" for i in range(8)])
-    gens = [tuple(2 if j == i else 0 for j in range(8)) for i in range(8)]
-    gens += [tuple(1 if j in (i, (i + 1) % 8) else 0 for j in range(8))
-             for i in range(8)]
-    I = MonomialIdeal.from_gens(R, sorted(gens))
-    with pytest.raises(ResourceLimit):
+    I = squares_and_cycle(12)
+    assert homology._betti_plan(I)[0] == "sweep"
+    with pytest.raises(ResourceLimit, match="lcm lattice exceeds cap 20"):
         graded_betti(I, lattice_cap=20)
 
 

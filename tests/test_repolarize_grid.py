@@ -138,9 +138,14 @@ def test_cap_bounds_the_rows_written():
         == oracles.repolarized_dual(Jd.gens, mu, D.chains)
     with pytest.raises(ResourceLimit, match="have 7599 elements, cap 7598"):
         repolarize_dual(Jd, mu, D, cartesian_cap=7598)
-    # a grid of more cells than the cap is not built, and the boxes' rows
-    # are over it
-    with pytest.raises(ResourceLimit, match="have 10200 elements, cap 2"):
+    # the cap bounds rows, not cells: with 3 of the grid's 4 cells inside,
+    # a cap of 3 lets the grid list its cells and names their 7,599 rows,
+    # not the boxes' 10,200; a cap below the inside cells is met before
+    # they are listed, and the message gives their count as a least one
+    with pytest.raises(ResourceLimit, match="have 7599 elements, cap 3"):
+        repolarize_dual(Jd, mu, D, cartesian_cap=3)
+    with pytest.raises(ResourceLimit, match="have at least 3 elements, "
+                                            "cap 2"):
         repolarize_dual(Jd, mu, D, cartesian_cap=2)
     # with mu = 256 on 8 variables a cell may hold 2^64 rows, past int64,
     # so the support stays on its boxes, whose sizes are Python ints
@@ -149,6 +154,50 @@ def test_cap_bounds_the_rows_written():
     with pytest.raises(ResourceLimit, match=f"have {2 * 255 * 256 ** 7} "
                                             f"elements, cap {10 ** 7}"):
         repolarize_dual(Jd, mu, chains_of(mu))
+
+
+def test_grid_of_more_cells_than_the_cap_writes_its_rows():
+    # (40 - j, 10 + j) for j = 0..30: a grid of 31^2 = 961 cells and 5,456
+    # box rows, but 496 inside cells of one row each, the rows written; a
+    # cap of 500 bounds those rows, not the grid's cells
+    mu = (40, 40)
+    Jd = MonomialIdeal.from_gens(ring(2), [(40 - j, 10 + j)
+                                           for j in range(31)])
+    own = Jd._exponents()
+    assert _fiber_sizes(own, mu)[1].sum() == 5456
+    size = _grid_cells(own, np.array(mu))[2]
+    assert len(size) == size.sum() == 496
+    D = chains_of(mu)
+    got = repolarize_dual(Jd, mu, D, cartesian_cap=500)
+    assert sorted((frozenset(i for i, e in enumerate(g) if e)
+                   for g in got.gens), key=oracles.set_key) \
+        == oracles.repolarized_dual(Jd.gens, mu, D.chains)
+
+
+def test_grid_of_more_inside_cells_than_the_cap_is_not_listed(monkeypatch):
+    # 55 of the 100 cells are inside, and they hold far more rows: a cap
+    # of 54 is met by the inside cells, before any cell or row is listed
+    mu = (100, 100)
+    Jd = MonomialIdeal.from_gens(ring(2), [(1 + 10 * j, 91 - 10 * j)
+                                           for j in range(10)])
+    own = Jd._exponents()
+    nonzero = np.nonzero
+
+    def unlisted(a):
+        assert np.shape(a) != (10, 10), "the grid's cells were listed"
+        return nonzero(a)
+
+    def listed(*args):
+        raise AssertionError("rows were listed")
+    monkeypatch.setattr(np, "nonzero", unlisted)
+    monkeypatch.setattr(duality, "_box_rows", listed)
+    for call in (lambda: _grid_cells(own, np.array(mu), cap=54),
+                 lambda: repolarize_dual(Jd, mu, chains_of(mu), 54)):
+        with pytest.raises(ResourceLimit, match="have at least 55 elements, "
+                                                "cap 54"):
+            call()
+    monkeypatch.undo()
+    assert len(_grid_cells(own, np.array(mu), cap=55)[2]) == 55
 
 
 def test_sizes_past_int64_reach_the_cap_unwrapped():
