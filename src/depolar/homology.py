@@ -3,13 +3,17 @@
 Betti numbers of a monomial ideal come from reduced homology of its Koszul
 complexes: beta_{i,mu} = dim H~_{i-1}(K^mu_I), summed over the lcm lattice.
 _face_homology, the rank of the boundary maps between the faces of each
-dimension, is the one homology kernel.  It ranks them from the top
-dimension down and clears: a face that is a pivot row one dimension up is
-no column of its own boundary map.  Boundary columns are keyed by face
-masks.  reduced_homology_dims first shrinks a complex by depolarizing its
-facet complement ideal, when that joins two vertices; graded_betti reads
-every Koszul complex off the ideal's level grid as a pattern of bits, or
-sweeps the lcm lattice when the grid is too large.
+dimension, is the one homology kernel.  It takes the faces of a relative
+complex (K, L), the faces of K outside a subcomplex L, and a whole complex
+is the case of L void.  It ranks from the top dimension down and clears: a
+face that is a pivot row one dimension up is no column of its own boundary
+map.  Boundary columns are keyed by face masks.  reduced_homology_dims
+first shrinks a complex by depolarizing its facet complement ideal, when
+that joins two vertices, and hands the kernel the whole complex that is
+left; graded_betti reads every Koszul complex off the ideal's level grid
+as a pattern of bits and hands the kernel each distinct one relative to
+the closed star of a vertex, a cone, or sweeps the lcm lattice when the
+grid is too large.
 """
 
 from fractions import Fraction
@@ -22,9 +26,10 @@ from .complexes import (DEFAULT_FACE_CAP, SimplicialComplex,
                         facet_complement_ideal, koszul_complex, koszul_rows)
 from .depolarization import _joins_variables, depolarize
 from .hypergraph import (_column_keys, _distinct, cone_free, from_words,
-                         koszul_patterns, level_grid, level_slots, popcounts,
-                         prefix_words, restricted_patterns, rows_to_words,
-                         width, within_grid_bytes, words_to_rows)
+                         koszul_patterns, level_grid, level_slots,
+                         outside_widest_star, prefix_words,
+                         restricted_patterns, rows_to_words, width,
+                         within_grid_bytes, words_to_rows)
 from .ideals import DEFAULT_LATTICE_CAP, InputError, ResourceLimit
 
 
@@ -39,10 +44,11 @@ def _is_small_prime(p):
     return 2 <= p < 2 ** 31 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-def _boundary_columns(upper):
+def _boundary_columns(upper, rows=None):
     """The boundary of each face mask in upper, a column keyed by the masks
     of the faces one dimension down, which sort within their dimension as
-    the faces are listed."""
+    the faces are listed.  With rows, a set of masks, a column keeps only
+    the faces in rows."""
     cols = []
     for m in upper:
         col, k, v = {}, 0, m
@@ -52,6 +58,8 @@ def _boundary_columns(upper):
             col[m ^ low] = -1 if k & 1 else 1
             k += 1
         cols.append(col)
+    if rows is not None:
+        cols = [{r: v for r, v in col.items() if r in rows} for col in cols]
     return cols
 
 
@@ -90,29 +98,45 @@ def _rank(cols, p=None):
 
 
 def _face_homology(faces, p=None):
-    """Reduced homology dimensions of the complex with these faces, a dict
-    from dimension to its faces as ascending int masks, and the kernel
-    that every homology of the package runs: position k holds degree
-    k - 1, and no faces (the void complex) give [].  Augmented boundary
-    maps make H~_{-1} 1 for the irrelevant complex and 0 otherwise.
+    """Homology dimensions of the relative complex (K, L), given by the
+    faces of K outside the subcomplex L, a dict from dimension to ascending
+    int masks; position k holds degree k - 1.  This is the kernel that
+    every homology of the package runs.
+
+    The chains of (K, L) are those of K modulo those of L, so a boundary
+    column keeps only the rows of listed faces, and the boundary of the
+    vertices, onto the empty face, has rank 1 only when the empty face is
+    listed.  Every subcomplex but the void one holds the empty face, so it
+    is listed exactly when L is void: then every face of K is listed, no
+    row is dropped, and the result is the reduced homology of K, with
+    H~_{-1} 1 for the irrelevant complex and 0 otherwise; no faces (the
+    void complex) give [].  When L is a cone, such as the closed star of a
+    vertex, H~(L) = 0 in every degree, and the long exact sequence of the
+    pair gives H~_d(K) = H_d(K, L) over any field.
 
     The boundary maps are ranked from the top dimension down, with
     clearing: a d-face that is a pivot row of the boundary of the
     (d+1)-faces is left out of the columns of the boundary of the d-faces.
-    Its reduced (d+1)-column is a cycle led by it, so its boundary lies in
-    the span of the boundaries of faces with smaller masks, and the rank
-    is the same over any field.  The boundary of the vertices, onto the
-    empty face, has rank 1 with no elimination."""
+    Its reduced (d+1)-column is a boundary, led by it, and the relative
+    boundary squares to 0 as K's does, so the boundary of that face lies in
+    the span of the boundaries of listed d-faces with smaller masks, and
+    the rank is the same over any field.  A map with no listed face in its
+    domain or its codomain is not ranked."""
     if not faces:
         return []
     top = max(faces)
-    ranks = {0: 1} if top >= 0 else {}
+    whole = -1 in faces
+    ranks = {0: 1} if whole and top >= 0 else {}
     cleared = ()
     for d in range(top, 0, -1):
-        cleared = _rank(_boundary_columns(
-            [m for m in faces[d] if m not in cleared]), p)
+        upper = [m for m in faces.get(d, ()) if m not in cleared]
+        lower = faces.get(d - 1)
+        cleared = ()
+        if upper and lower:
+            cleared = _rank(_boundary_columns(
+                upper, None if whole else set(lower)), p)
         ranks[d] = len(cleared)
-    return [len(faces[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+    return [len(faces.get(d, ())) - ranks.get(d, 0) - ranks.get(d + 1, 0)
             for d in range(-1, top + 1)]
 
 
@@ -237,10 +261,10 @@ class BettiTable:
 
 
 def _betti_plan(I):
-    """The kernel that computes the Betti numbers of I ("grid" or "sweep"),
-    the exponents G of I and their level_slots layout.  The level grid is
-    taken when its patterns, a word per 64 of the 2^n bits of each cell
-    on n axes, fit _GRID_BYTES."""
+    """The kernel that computes the Betti numbers of I ("grid" or "sweep")
+    and the level_slots layout of its exponents.  The level grid is taken
+    when its patterns, a word per 64 of the 2^n bits of each cell on n
+    axes, fit _GRID_BYTES."""
     if I.is_zero:
         raise InputError("the zero ideal has no Betti numbers")
     G = I._exponents()
@@ -248,12 +272,12 @@ def _betti_plan(I):
     lo, hi = layout[2], layout[3]
     shape = (hi - lo + 1)[hi > lo].tolist()
     grid = within_grid_bytes(shape, 8 * width(2 ** len(shape)))
-    return "grid" if grid else "sweep", G, layout
+    return "grid" if grid else "sweep", layout
 
 
-def _grid_betti(G, layout, face_cap, p):
-    """Entries of the Betti table of the generators G from the Koszul
-    patterns of their level grid.
+def _grid_betti(layout, face_cap, p):
+    """Entries of the Betti table of the ideal with this level_slots layout
+    from the Koszul patterns of its level grid.
 
     Cell j of axis i holds the exponents from its level to the next, so
     its lower corner b has b - e_i in cell j - 1, and K^b is the pattern of
@@ -261,8 +285,15 @@ def _grid_betti(G, layout, face_cap, p):
     corner outside the lcm lattice has a cone vertex, so only the patterns
     of cone_free count.  Each is cut down to the axes its faces hold, in
     order, a canonical form on c vertices, and the homology is computed
-    once per distinct form, reading the faces off its bits.  face_cap
-    bounds the faces of each form."""
+    once per distinct form.
+
+    Each distinct form K, read as one int on its c vertices, goes to the
+    kernel relative to the closed star of its vertex with the widest star
+    (outside_widest_star), so only the faces outside that star are listed.
+    The star is a cone on its vertex, so H~(K) = H(K, st i) over any field
+    (_face_homology), and clearing holds on the relative complex as on K.
+    The irrelevant form, c = 0, a generator's beta_0, is listed whole.
+    face_cap bounds all the faces of each form, those in the star too."""
     slot, level, lo, hi = layout
     axes, grid = level_grid(slot, lo, hi)
     n = len(axes)
@@ -270,15 +301,18 @@ def _grid_betti(G, layout, face_cap, p):
     forms = restricted_patterns(pat, used)
     keys = _column_keys(forms)
     distinct, first = _distinct(keys)
-    dim = popcounts(np.arange(2 ** n, dtype=np.uint64)[None]) - 1
     homology = []  # the (i, beta_i) with beta_i > 0 of each distinct form
-    for bits in words_to_rows(forms[:, first], 2 ** n):
-        faces = np.flatnonzero(bits)
-        if len(faces) > face_cap:
+    for c, x in zip(used[:, first].sum(axis=0).tolist(),
+                    from_words(forms[:, first])):
+        if x.bit_count() > face_cap:
             raise ResourceLimit(f"face count exceeds cap {face_cap}")
+        x = outside_widest_star(x, c)
         by_dim = {}
-        for f, d in zip(faces.tolist(), dim[faces].tolist()):
-            by_dim.setdefault(d, []).append(f)
+        while x:
+            low = x & -x
+            x ^= low
+            f = low.bit_length() - 1
+            by_dim.setdefault(f.bit_count() - 1, []).append(f)
         homology.append([(i, d) for i, d
                          in enumerate(_face_homology(by_dim, p)) if d])
     form = np.searchsorted(distinct, keys)
@@ -379,9 +413,9 @@ def graded_betti(I, face_cap=DEFAULT_FACE_CAP, lattice_cap=DEFAULT_LATTICE_CAP,
         pol = dict(zip(degrees, map(tuple, rows.tolist())))
         return BettiTable(I.ring, {(i, pol[mu]): v for (i, mu), v
                                    in table.entries.items()})
-    kernel, G, layout = _betti_plan(I)
+    kernel, layout = _betti_plan(I)
     if kernel == "grid":
-        return BettiTable(I.ring, _grid_betti(G, layout, face_cap, p))
+        return BettiTable(I.ring, _grid_betti(layout, face_cap, p))
     return BettiTable(I.ring, _sweep_betti(I, face_cap, lattice_cap, p))
 
 

@@ -26,12 +26,14 @@ adds that one slot, so u kills the join of t at the slot where u meets the
 row exactly when u minus the row lies inside t: one test per (t, u) pair.
 homology.graded_betti reads the Koszul complexes off the grid
 (koszul_patterns gives each cell its complex as 2^n bits, cone_free drops
-the cones, restricted_patterns cuts each pattern to its axes), and
+the cones, restricted_patterns cuts each pattern to its axes, and
+outside_widest_star lists a form's faces outside a vertex's star), and
 repolarize_dual writes one support's rows from the inside cells of its
 grid.  _GRID_BYTES bounds the last two.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -511,6 +513,32 @@ def restricted_patterns(pat, used):
         if drop.any():
             pat[:, drop] = _drop_axis(pat[:, drop], i)
     return pat
+
+
+# a form on a grid within _GRID_BYTES has c <= 14 vertices
+@lru_cache(maxsize=16)
+def _free_masks(c):
+    """FREE_c(i) for each vertex i < c: the bits F of 2^c, F read as a set
+    of vertices, whose F misses i, as ints."""
+    full = (1 << (1 << c)) - 1
+    return tuple(full // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
+                 for i in range(c))
+
+
+def outside_widest_star(x, c):
+    """The faces of a complex outside the closed star of its vertex with
+    the widest star, as an int of the same bits.  x is the complex on
+    vertices 0..c-1 as an int, bit F set when F is a face.  The faces F
+    that miss i with F + i a face, x & (x >> 2^i) & FREE_c(i), are the star
+    of i less the faces that hold i, and the faces outside it are those
+    that miss i with F + i no face.  With no vertex, c = 0, x comes back
+    whole."""
+    masks = _free_masks(c)
+    stars = [(x & x >> (1 << i) & f).bit_count() for i, f in enumerate(masks)]
+    if not stars:
+        return x
+    i = stars.index(max(stars))
+    return x & masks[i] & ~(x >> (1 << i))
 
 
 def _staircase(slot, level, lo, hi, a, cap=None):

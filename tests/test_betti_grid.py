@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from depolar import hypergraph
+from depolar import homology, hypergraph
 from depolar.depolarization import depolarize
 from depolar.families import gen_jknm, gen_power_ideal, gen_variable_powers
 from depolar.homology import (_betti_plan, _grid_betti, _sweep_betti,
@@ -41,9 +41,9 @@ def ideals(draw, max_n=5, emax=4, max_gens=8):
 
 
 def grid_and_sweep(I, p=None):
-    kernel, G, layout = _betti_plan(I)
+    kernel, layout = _betti_plan(I)
     assert kernel == "grid"
-    return (_grid_betti(G, layout, CAP, p),
+    return (_grid_betti(layout, CAP, p),
             _sweep_betti(I, CAP, CAP, p))
 
 
@@ -183,6 +183,33 @@ def test_complete_intersection_on_ten_axes():
     assert T.entries == _sweep_betti(I, CAP, CAP, None)
 
 
+def test_complete_intersection_ranks_no_column(monkeypatch):
+    # each form of ci(10,2) is the boundary of a simplex; outside the star
+    # of a vertex lies only the facet that misses it, with no face below it
+    # listed, so no boundary map is ranked (1,012 columns when every form
+    # was ranked whole)
+    sizes = []
+    rank = homology._rank
+    monkeypatch.setattr(homology, "_rank",
+                        lambda cols, p: sizes.append(len(cols)) or rank(cols, p))
+    T = graded_betti(gen_variable_powers(10, 2))
+    assert T.totals() == [comb(10, i + 1) for i in range(10)]
+    assert sum(sizes) == 0
+
+
+def test_a_generator_is_the_irrelevant_form(monkeypatch):
+    # at the corner of a lone generator K is {emptyset}: its form has c = 0
+    # vertices and no star, and is listed whole, the empty face with it
+    calls = []
+    kernel = homology._face_homology
+    monkeypatch.setattr(homology, "_face_homology",
+                        lambda faces, p: calls.append(faces) or kernel(faces, p))
+    I = MonomialIdeal.from_gens(ring(3), [(2, 1, 0)])
+    assert _betti_plan(I)[0] == "grid"
+    assert graded_betti(I).entries == {(0, (2, 1, 0)): 1}
+    assert calls == [{-1: [0]}]
+
+
 def test_more_than_six_axes_against_the_oracle():
     # 7 and 8 axes: patterns of 2 and 4 words, copied whole past axis 6
     for n, gens in [(7, [(1, 1, 0, 0, 0, 0, 1), (0, 1, 1, 0, 0, 1, 0),
@@ -199,11 +226,11 @@ def test_caps_on_the_grid_path():
     # at (1, 1, 2) the Koszul complex is the hollow triangle: 7 faces
     I = MonomialIdeal.from_gens(Ring(["x", "y", "z"]),
                                 [(1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 2)])
-    kernel, G, layout = _betti_plan(I)
+    kernel, layout = _betti_plan(I)
     assert kernel == "grid"
     with pytest.raises(ResourceLimit, match="face count exceeds cap 6"):
-        _grid_betti(G, layout, 6, None)
-    assert _grid_betti(G, layout, 7, None) == oracles.betti_numbers(
+        _grid_betti(layout, 6, None)
+    assert _grid_betti(layout, 7, None) == oracles.betti_numbers(
         list(I.gens))
     # 12 cells hold 8 lattice points: the grid lists no lattice, so
     # lattice_cap leaves it alone, and bounds the sweep's points
@@ -220,7 +247,7 @@ def test_caps_on_the_grid_path():
 @RUNS
 def test_more_cells_than_the_lattice_cap_take_the_grid(I):
     # lattice_cap bounds the sweep's lattice, never the grid's cells
-    kernel, _, (_, _, lo, hi) = _betti_plan(I)
+    kernel, (_, _, lo, hi) = _betti_plan(I)
     assert kernel == "grid" and (hi - lo + 1).prod() > 1
     assert graded_betti(I, lattice_cap=1).entries == oracles.betti_numbers(
         list(I.gens))
@@ -230,7 +257,7 @@ def test_pattern_words_stay_within_the_byte_bound():
     # jknm(8): 5^8 cells of 4 words, 12.5 MB of the 32 MiB bound; one more
     # variable takes the sweep
     I = gen_jknm(8)
-    kernel, _, (_, _, lo, hi) = _betti_plan(I)
+    kernel, (_, _, lo, hi) = _betti_plan(I)
     assert kernel == "grid"
     assert (hi - lo + 1).prod() * 4 * 8 <= hypergraph._GRID_BYTES
     assert _betti_plan(gen_jknm(9))[0] == "sweep"

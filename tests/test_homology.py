@@ -130,6 +130,61 @@ def test_clearing_leaves_out_the_bounded_columns(monkeypatch, p):
     assert sum(sizes) == 511
 
 
+def outside_star(facets, v):
+    """The faces of the complex with these facets outside the closed star
+    of vertex v, the faces F with F + v not a face, by dimension."""
+    faces = oracles.closure_faces(facets)
+    out = {}
+    for f in faces:
+        if f | {v} not in faces:
+            out.setdefault(len(f) - 1, []).append(sum(1 << u for u in f))
+    return {d: sorted(group) for d, group in out.items()}
+
+
+def padded(dims, size):
+    assert len(dims) <= size and not any(dims[size:])
+    return dims + [0] * (size - len(dims))
+
+
+@given(facet_lists(), st.sampled_from([None, 2, 3]))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_homology_relative_to_a_star_matches_the_oracle(facets, p):
+    # the closed star of a vertex is a cone, so H~(K) = H(K, st v); a cone
+    # on v lists no face at all
+    want = oracles.homology_dims(facets, p)
+    for v in set().union(*facets):
+        got = homology._face_homology(outside_star(facets, v), p)
+        assert padded(got, len(want)) == want
+
+
+@pytest.mark.parametrize("v", range(6))
+def test_projective_plane_relative_to_each_star(v):
+    # the link of v is a 5-cycle and its 1-skeleton is K_6: outside the
+    # star lie the five triangles that miss v and the five edges that miss
+    # its link, and no vertex or empty face
+    faces = outside_star(RP2, v)
+    assert [len(faces.get(d, ())) for d in (-1, 0, 1, 2)] == [0, 0, 5, 5]
+    assert homology._face_homology(faces, 2) == [0, 0, 1, 1]
+    assert homology._face_homology(faces) == [0, 0, 0, 0]
+
+
+def test_relative_complex_keeps_only_the_listed_rows(monkeypatch):
+    # the boundary of the 9-simplex outside the star of vertex 9 is the one
+    # facet that misses 9, with no face listed below it: nothing is ranked
+    sizes = []
+    rank = homology._rank
+    monkeypatch.setattr(homology, "_rank",
+                        lambda cols, p: sizes.append(len(cols)) or rank(cols, p))
+    assert homology._face_homology({8: [2 ** 9 - 1]}) == [0] * 9 + [1]
+    assert sizes == []
+    # the hollow triangle outside the star of vertex 0: the edge {1, 2}
+    # and no vertex below it
+    assert homology._face_homology({1: [6]}) == [0, 0, 1]
+    # and the irrelevant complex, the empty face listed, has H~_{-1} = 1
+    assert homology._face_homology({-1: [0]}) == [1]
+
+
 def random_ideal(rng, n, ngens, emax):
     R = Ring([f"x{i}" for i in range(n)])
     gens = set()
