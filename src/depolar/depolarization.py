@@ -185,9 +185,13 @@ def depolarize(I, partition=None):
         raise InputError(f"not an ascending chain: {list(c)}")
     # along an ascending chain gens(c_(j+1)) lies inside gens(c_j), so
     # generator m meets chain c in its first k_c variables; the sums are
-    # kept in the narrowest dtype that holds the longest chain
-    k = np.add.reduceat(poset.incidence[:, flat], starts, axis=1,
-                        dtype=np.min_scalar_type(lens.max()))
+    # kept in the narrowest dtype that holds the longest chain, and with
+    # every chain one variable they are its columns (np.take copies columns
+    # about 3x faster than fancy indexing does)
+    k = np.take(poset.incidence, flat, axis=1).view(np.uint8)
+    if lens.max() > 1:
+        k = np.add.reduceat(k, starts, axis=1,
+                            dtype=np.min_scalar_type(lens.max()))
     ring_out = Ring([I.ring.variables[c[0]] for c in chains])
     # polarizing these rows along the chains gives G(I) back, so they are
     # nonzero, distinct and minimal; the chains are checked above or built

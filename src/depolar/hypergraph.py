@@ -21,9 +21,13 @@ _dual_plan picks it on few variables with many generators, the compact
 side of a depolarization, and berge_fold otherwise.  The fold tests the
 joins of a row only against the masks that meet the row exactly once: a
 join sets one slot of the row, so any mask inside it meets the row once,
-at that slot.  On a row of first slots only (every squarefree row) a join
-adds that one slot, so u kills the join of t at the slot where u meets the
-row exactly when u minus the row lies inside t: one test per (t, u) pair.
+at that slot, and lies inside the row's reach, the union of its joins.  On
+a row of first slots only (every squarefree row) a join adds that one
+slot, so u kills the join of t at the slot where u meets the row exactly
+when u minus the row lies inside t: one test per (t, u) pair.  A
+squarefree ideal dualized with respect to its lcm is its own slot layout,
+one slot per variable, so the fold reads its words and returns the dual's
+words.
 homology.graded_betti reads the Koszul complexes off the grid
 (koszul_patterns gives each cell its complex as 2^n bits, cone_free drops
 the cones, restricted_patterns cuts each pattern to its axes, and
@@ -293,47 +297,77 @@ def is_antichain(arr):
     return True
 
 
-def berge_fold(hits, starts, cap=None):
-    """Minimal block-prefix masks that meet every row of hits.
+def single_bits(arr):
+    """(W, N, K) masks of the set bits of the columns of a (W, N) array, one
+    bit each: column j's bits first, word 0 up and low to high in a word,
+    then empty masks; K is the largest popcount, at least 1.  Each word
+    gives up its lowest bit, x & -x, once per bit it has."""
+    W, N = arr.shape
+    count = np.array([_popcount(word) for word in arr], dtype=np.int64)
+    at = np.cumsum(count, axis=0) - count
+    out = np.zeros((W, N, max(1, int(count.sum(axis=0).max(initial=0)))),
+                   dtype=np.uint64)
+    for w in range(W):
+        x = arr[w].copy()
+        for i in range(int(count[w].max(initial=0))):
+            low = x & -x
+            x ^= low
+            has = np.flatnonzero(count[w] > i)
+            out[w, has, at[w, has] + i] = low[has]
+    return out
 
-    Row j of hits lists slots in distinct blocks, padded with -1, and a
-    mask meets it by setting one of them; starts[s] is the first slot of
-    the block holding slot s, and len(starts) is the slot count.  Rows are
-    folded in one at a time in the given order (Berge multiplication): the
-    masks that meet the row survive as they are, each of the rest is
-    joined with the block prefix up to every slot of the row, and a join
-    is dropped when it contains a survivor or another join.  Returns the
-    minimal masks as a (W, N) array.
+
+# A row drops the once survivors outside its reach when its killer test
+# would take more pairs than this.  On the direct-dual tiers (2-vCPU VM,
+# numpy 2.4.6, one BLAS thread, min of 9 interleaved runs, seed 1) the
+# small and large tiers took 80.6 and 126.2 ms with the bound on every row
+# that a mask misses, 70.9 and 119.7 from 1,000 pairs, 70.3 and 117.4 from
+# 3,000, 70.9 and 120.6 from 10,000, 69.5 and 127.1 from 30,000, and 69.4
+# and 157.0 ms with no bound.  Leaving out the rows that one mask misses
+# (min of 11, seed 1 and 2) kept the small tier and took the large one
+# from 119.9 to 127.2 and from 115.0 to 120.8 ms; m^(3,22) P alone went
+# from 11.6 to 15.1 ms.
+_REACH_PAIRS = 3000
+
+
+def berge_fold(edges, prefix, cap=None):
+    """Minimal block-prefix masks that meet every row.
+
+    Column j of the (W, N) edges sets the slots of row j, each in its own
+    block, and a mask meets the row by setting one of them.  prefix[:, j]
+    is a (W, K) array of the block prefixes up to the slots of row j, one
+    per slot and then empty masks.  Rows are folded in one at a time in
+    the given order (Berge multiplication): the masks that meet the row
+    survive as they are, each of the rest is joined with every prefix of
+    the row, and a join is dropped when it contains a survivor or another
+    join.  Returns the minimal masks as a (W, N) array.
 
     A join t + prefix(v) of a mask t that misses the row sets v and no
     other slot of the row, so a survivor u inside it meets the row at v
     alone.  Joins are therefore tested only against once, the survivors
-    that set exactly one slot of the row.  When every slot of the row is
-    the first of its block, prefix(v) is v itself, and u lies inside
-    t + v exactly when u meets the row at v and the rest of u lies inside
-    t: one test of t against u minus the row then settles the join of t
-    with the one slot where u meets the row.
+    that set exactly one slot of the row.  Such a u lies inside the union
+    of the joins, the reach of the row, so on rows with many pairs to test
+    the once outside it are dropped first.  When every prefix of the row
+    is one slot, u lies inside t + v exactly when u meets the row at v and
+    the rest of u lies inside t: one test of t against u minus the row
+    then settles the join of t with the one slot where u meets the row.
     """
-    # slots first in each row, so row j's prefixes are prefix[:, j, :size[j]];
-    # a -1 pad gets an empty prefix and adds nothing to the row's edge
-    hits = np.sort(np.asarray(hits, dtype=np.int64), axis=1)[:, ::-1]
-    starts = np.asarray(starts, dtype=np.int64)
-    first = starts[hits]
-    W = width(len(starts))
-    prefix = prefix_words(first[..., None], hits[..., None] + 1, W)
-    edges = prefix_words(hits, hits + 1, W)
+    W = len(edges)
+    span = np.bitwise_or.reduce(prefix, axis=2)
     # Joins from different slots of a row never nest, since a mask that
     # misses the row stays below each of its slots.  Joins from one slot
     # nest only when two masks below it differ inside its block, which
     # needs a prefix longer than one slot and at least two such masks.
-    deep = (hits > first).any(axis=1).tolist()
-    size = (hits >= 0).sum(axis=1).tolist()
-    # per row: its edge and the slots off it as (W, 1), its prefixes as
-    # (W, 1, slots)
+    deep = (span != edges).any(axis=0).tolist()
+    size = (prefix != 0).any(axis=0).sum(axis=1).tolist()
+    # per row: its edge, the slots off it and its prefixes' union as
+    # (W, 1), its prefixes as (W, 1, K)
     edges = edges.T[:, :, None]
+    span = span.T[:, :, None]
     prefix = prefix.transpose(1, 0, 2)[:, :, None, :]
     T = np.zeros((W, 1), dtype=np.uint64)
-    for edge, rest, pj, k, d in zip(edges, ~edges, prefix, size, deep):
+    for edge, rest, sp, pj, k, d in zip(edges, ~edges, span, prefix, size,
+                                        deep):
         met = _popcount(T & edge)
         met = met[0] if W == 1 else met.sum(axis=0)
         t_miss = T.compress(met == 0, axis=1)
@@ -341,6 +375,13 @@ def berge_fold(hits, starts, cap=None):
             continue
         once = T.compress(met == 1, axis=1)
         T = T.compress(met, axis=1)
+        # the killer test below takes at least these columns against once:
+        # the masks that miss the row, or the row's joins when one does
+        tested = t_miss.shape[1] if t_miss.shape[1] > 1 else k
+        if tested * once.shape[1] > _REACH_PAIRS:
+            # a killer lies inside some join, so inside their union
+            reach = np.bitwise_or.reduce(t_miss, axis=1, keepdims=True) | sp
+            once = once.compress(~(once & ~reach).any(axis=0), axis=1)
         pj = pj[..., :k]
         cand = (t_miss[:, :, None] | pj).reshape(W, -1)
         if d and t_miss.shape[1] > 1:
@@ -567,15 +608,36 @@ def _staircase(slot, level, lo, hi, a, cap=None):
     return rows
 
 
-def _fold(G, slot, level, lo, hi, a, cap=None):
-    """The same rows as _staircase, from berge_fold over the generators in
-    colex order, which on squarefree generators keeps the state no larger
-    than the final one.  The fold's blocks ascend in the dual's levels
-    a + 1 - g, so it reads each block of the layout mirrored."""
-    block = np.repeat(np.arange(len(lo)), hi - lo)
-    mirror = (lo + hi - 1)[block] - np.arange(len(level))
-    T = berge_fold(np.where(slot >= 0, mirror[slot], -1)[np.lexsort(G.T)],
-                   lo[block], cap)
+def _fold(G, layout, cap=None):
+    """The dual from berge_fold over the generators in colex order, which
+    on squarefree generators keeps the state no larger than the final one.
+
+    With layout None, G is the words of a squarefree ideal dualized with
+    respect to its lcm: each variable is a slot of its own, the words
+    themselves are the rows, in colex order as numbers, and the fold's
+    masks are the dual's words.  Otherwise G holds exponent rows and
+    layout is their level_slots layout with the dual bound a, and the
+    result is the rows _staircase gives.  The fold's blocks ascend in the
+    dual's levels a + 1 - g, so it reads each block of the layout
+    mirrored."""
+    if layout is None:
+        edges = G[:, np.lexsort(G)]
+        prefix = single_bits(edges)
+    else:
+        slot, level, lo, hi, a = layout
+        block = np.repeat(np.arange(len(lo)), hi - lo)
+        mirror = (lo + hi - 1)[block] - np.arange(len(level))
+        # slots first in each row, so the empty prefixes of the -1 pads
+        # come last
+        hits = np.sort(np.where(slot >= 0, mirror[slot], -1)[
+            np.lexsort(G.T)], axis=1)[:, ::-1]
+        W = width(len(level))
+        edges = prefix_words(hits, hits + 1, W)
+        prefix = prefix_words(lo[block][hits][..., None], hits[..., None] + 1,
+                              W)
+    T = berge_fold(edges, prefix, cap)
+    if layout is None:
+        return T
     # the top slot set in block i holds t_i
     return slot_levels(T, a[block] + 1 - level[mirror], lo, hi)
 
@@ -598,27 +660,44 @@ _GRID_PER_GEN = 10000
 _GRID_AXES = 32
 
 
+def _grid_rule(sizes, gens):
+    """The grid's cell count over axes of the given level counts, and
+    whether it takes them for that many generators."""
+    cells = math.prod(k + 1 for k in sizes)
+    return cells, (len(sizes) <= _GRID_AXES
+                   and len(sizes) * cells <= _GRID_PER_GEN * gens)
+
+
 def _dual_plan(I, a=None):
-    """The exponents G of I, their level_slots layout with the dual bound a
-    after it, the kernel ("grid" or "fold") and the grid's cell count.  The
-    grid is taken on at most _GRID_AXES used variables when axes * cells
-    <= _GRID_PER_GEN * len(G), so its bool array holds at most
-    _GRID_PER_GEN * len(G) / axes bytes."""
+    """The generators G of I, their layout, the kernel ("grid" or "fold")
+    and the grid's cell count.  The grid is taken on at most _GRID_AXES
+    used variables when axes * cells <= _GRID_PER_GEN * len(G), so its
+    bool array holds at most _GRID_PER_GEN * len(G) / axes bytes.
+
+    A squarefree ideal has one level on each of its u used variables, so
+    2^u cells, read off its words.  When the fold takes it and a is its
+    lcm, G is its words and the layout None (the words path of _fold).
+    Otherwise G is the exponent rows, and the layout their level_slots
+    layout with the dual bound a after it."""
     if I.is_zero:
         raise InputError("the zero ideal dualizes to the unit ideal")
+    if a is not None:
+        a = check_exponent(a, I.n)
+    if I.is_squarefree():
+        used = bits_of(from_words(
+            np.bitwise_or.reduce(I.words, axis=1, keepdims=True))[0])
+        cells, grid = _grid_rule([1] * len(used), I._count())
+        if not grid and (a is None or a == tuple(
+                int(i in used) for i in range(I.n))):
+            return I.words, None, "fold", cells
     G = I._exponents()
     mu = tuple(G.max(axis=0).tolist())
     if a is None:
         a = mu
-    else:
-        a = check_exponent(a, I.n)
-        if not divides(mu, a):
-            raise InputError(f"dual bound {a} must dominate {mu}")
+    elif not divides(mu, a):
+        raise InputError(f"dual bound {a} must dominate {mu}")
     slot, level, lo, hi = level_slots(G, G > 0)
-    sizes = (hi - lo)[hi > lo].tolist()
-    cells = math.prod(k + 1 for k in sizes)
-    grid = (len(sizes) <= _GRID_AXES
-            and len(sizes) * cells <= _GRID_PER_GEN * len(G))
+    cells, grid = _grid_rule((hi - lo)[hi > lo].tolist(), len(G))
     return (G, (slot, level, lo, hi, np.array(a, dtype=np.int64)),
             "grid" if grid else "fold", cells)
 
@@ -634,12 +713,16 @@ def alexander_dual_ideal(I, a=None, cap=None, *, _plan=None):
     the dual off the grid of the levels when the grid is small next to the
     generator count, berge_fold folds the generators in otherwise.  Both
     give the same rows, and cap bounds their count: the fold's state after
-    every generator, the grid's result.  Every dual of the package,
-    complexes included, is computed here.  The dual is held as words when
-    every exponent of it is 0 or 1, as rows otherwise.  _plan is
-    _dual_plan(I, a) when the caller has already made it.
+    every generator, the grid's result.  A squarefree ideal that the fold
+    takes with respect to its lcm is folded on its own words, and its
+    dual's words come straight out of the fold.  Every dual of the
+    package, complexes included, is computed here.  The dual is held as
+    words when every exponent of it is 0 or 1, as rows otherwise.  _plan
+    is _dual_plan(I, a) when the caller has already made it.
     """
     G, layout, kernel, _ = _plan or _dual_plan(I, a)
+    if layout is None:
+        return MonomialIdeal._of_words(I.ring, _fold(G, None, cap))
     rows = (_staircase(*layout, cap) if kernel == "grid"
-            else _fold(G, *layout, cap))
+            else _fold(G, layout, cap))
     return MonomialIdeal._of_rows(I.ring, rows)

@@ -412,6 +412,39 @@ def test_joins_variables_is_exact(I, block):
     assert joins == (len(depolarize(I).chains) < I.n)
 
 
+def columns_in_chain_order(I, D):
+    """The generators of I read at the first variable of each chain of D."""
+    return tuple(sorted(tuple(g[c[0]] for c in D.chains) for g in I.gens))
+
+
+@given(squarefree_ideals())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_one_variable_chains_keep_the_columns(I):
+    # with every chain one variable there is nothing to sum: the result is
+    # the columns of I in chain order
+    D = depolarize(I, "singleton")
+    assert D.ideal.gens == columns_in_chain_order(I, D)
+    if not depolarization._joins_variables(I):
+        D = depolarize(I)
+        assert all(len(c) == 1 for c in D.chains)
+        assert D.ideal.gens == columns_in_chain_order(I, D)
+
+
+def test_cycle_depolarizes_to_its_columns():
+    # the edges of a 5-cycle: no variable's edges all hold another
+    R = Ring([f"x{i}" for i in range(5)])
+    I = MonomialIdeal.from_gens(R, [tuple(int(j in (i, (i + 1) % 5))
+                                          for j in range(5))
+                                    for i in range(5)])
+    assert not depolarization._joins_variables(I)
+    for partition in (None, "singleton"):
+        D = depolarize(I, partition)
+        assert D.chains == tuple((i,) for i in range(5))
+        assert D.ideal.gens == I.gens
+
+
 def test_long_chain_depolarizes_fast_without_recursion():
     # <x^10000, y>: the polarization has 10001 variables in two chains
     J = MonomialIdeal.from_gens(Ring(["x", "y"]), [(10000, 0), (0, 1)])

@@ -6,16 +6,23 @@ words) while every part stays small enough for a brute-force oracle.  The
 dual of such a sum is the product of the duals of its parts, and the
 minimal transversals of a disjoint union of edge sets are the unions of
 one minimal transversal of each part.
+
+A squarefree ideal that the fold takes with respect to its lcm is folded
+on its own words (the words path), with one slot per variable of the ring.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
+from depolar import hypergraph
+from depolar.families import gen_jknm
 from depolar.hypergraph import _dual_plan, _fold, alexander_dual_ideal
 from depolar.ideals import MonomialIdeal, ResourceLimit, Ring
+from depolar.polarization import polarize_ideal
 
 # slot counts that give one, two and three words
 BANDS = [(61, 64), (66, 128), (130, 140)]
@@ -167,7 +174,7 @@ def state_sizes(I):
 def fold_rows(I, cap):
     """The fold's dual rows of I, whichever kernel the rule picks for I."""
     G, layout, _, _ = _dual_plan(I)
-    return _fold(G, *layout, cap)
+    return _fold(G, layout, cap)
 
 
 @pytest.mark.parametrize("seed", [1204, 1205])
@@ -188,3 +195,111 @@ def test_fold_cap_fires_at_the_first_row_past_it(seed):
             with pytest.raises(ResourceLimit) as err:
                 fold_rows(I, cap=cap)
             assert str(err.value) == f"{first} minimal masks exceed cap {cap}"
+
+
+def test_words_path_cap_fires_at_the_first_row_past_it():
+    # on all 14 variables, 14 * 2^14 cells are too many for the grid next
+    # to fewer than 23 generators, so the fold runs on the words
+    rng = random.Random(1206)
+    ring = Ring([f"x{i}" for i in range(14)])
+    I = MonomialIdeal.from_gens(ring, squarefree_part(rng, 14))
+    while _dual_plan(I)[1] is not None:
+        I = MonomialIdeal.from_gens(ring, squarefree_part(rng, 14))
+    sizes = state_sizes(I)
+    assert len(alexander_dual_ideal(I, cap=max(sizes)).gens) == sizes[-1]
+    for cap in sorted(set(sizes))[:-1]:
+        first = next(s for s in sizes if s > cap)
+        with pytest.raises(ResourceLimit) as err:
+            alexander_dual_ideal(I, cap=cap)
+        assert str(err.value) == f"{first} minimal masks exceed cap {cap}"
+
+
+@st.composite
+def words_path_cases(draw):
+    """A squarefree ideal on one to three words and its dual: two random
+    edge sets on a few vertices each, one variable per generator on the
+    rest of the used variables, and up to half the ring unused; or one
+    generator on the used variables."""
+    lo, hi = draw(st.sampled_from(BANDS))
+    n = draw(st.integers(lo, hi))
+    used = n - draw(st.integers(0, n // 2))
+    where = draw(st.permutations(range(n)))[:used]
+    if draw(st.integers(0, 4)) == 0:
+        g = tuple(int(i in where) for i in range(n))
+        return [g], [tuple(int(i == j) for i in range(n)) for j in where]
+    parts = []
+    for _ in range(2):
+        k = draw(st.integers(2, 6))
+        edge = st.tuples(*[st.integers(0, 1)] * k).filter(any)
+        parts.append(oracles.minimal_elements(
+            draw(st.lists(edge, min_size=1, max_size=5))))
+    singles = where[sum(len(rows[0]) for rows in parts):]
+    placed, gens = [], []
+    for rows in parts:
+        at, where = where[:len(rows[0])], where[len(rows[0]):]
+        placed.append((oracles.dual_ideal(rows), at))
+        gens += [tuple(r[at.index(i)] if i in at else 0 for i in range(n))
+                 for r in rows]
+    gens += [tuple(int(i == j) for i in range(n)) for j in singles]
+    ones = tuple(int(i in singles) for i in range(n))
+    return gens, [tuple(x + y for x, y in zip(row, ones))
+                  for row in product(n, placed)]
+
+
+@given(words_path_cases())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_words_path_against_dual_ideal(case):
+    gens, want = case
+    n = len(gens[0])
+    I = MonomialIdeal.from_gens(Ring([f"x{i}" for i in range(n)]), gens)
+    assert _dual_plan(I)[1] is None
+    D = alexander_dual_ideal(I)
+    assert D.words.shape == I.words.shape[:1] + (len(want),)
+    assert list(D.gens) == sorted(want)
+    # an explicit bound equal to the lcm takes the words path too
+    a = I.lcm_exponent()
+    assert _dual_plan(I, a)[1] is None
+    assert alexander_dual_ideal(I, a) == D
+    # a bound above the lcm leaves the words path: raising a used variable
+    # to 2 squares it in the dual
+    i = a.index(1)
+    raised = a[:i] + (2,) + a[i + 1:]
+    assert _dual_plan(I, raised)[1] is not None
+    assert list(alexander_dual_ideal(I, raised).gens) == sorted(
+        row[:i] + (2 * row[i],) + row[i + 1:] for row in want)
+
+
+def jknm8_polarization():
+    return polarize_ideal(gen_jknm(8))[0]
+
+
+def test_words_path_decodes_nothing(monkeypatch):
+    # the fold reads the words and its masks are the dual's words: no
+    # exponent rows, level layout or slot decode on the way
+    P = jknm8_polarization()
+    assert P.is_squarefree()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded")
+    for name in ("words_to_rows", "level_slots", "slot_levels",
+                 "rows_to_words"):
+        monkeypatch.setattr(hypergraph, name, refuse)
+    D = alexander_dual_ideal(P)
+    monkeypatch.undo()
+    assert D.is_squarefree() and D.words.shape == (1, 8113)
+
+
+def test_reach_bound_prunes_the_killer_test(monkeypatch):
+    # the dual of the jknm(8) polarization hands _contains about 10.2M
+    # (cand, keep) pairs with no reach bound, about 2.2M with it
+    pairs = []
+    contains = hypergraph._contains
+
+    def counted(cand, keep):
+        pairs.append(cand.shape[1] * keep.shape[1])
+        return contains(cand, keep)
+    monkeypatch.setattr(hypergraph, "_contains", counted)
+    D = alexander_dual_ideal(jknm8_polarization())
+    assert D._count() == 8113
+    assert sum(pairs) <= 2_500_000

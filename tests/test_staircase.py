@@ -48,7 +48,7 @@ def both_kernels(I, a=None):
     """The dual of I from the grid and from the fold, as sorted tuples."""
     G, layout, _, _ = _dual_plan(I, a)
     return [MonomialIdeal._of_rows(I.ring, rows).gens
-            for rows in (_staircase(*layout), _fold(G, *layout))]
+            for rows in (_staircase(*layout), _fold(G, layout))]
 
 
 def check(I, a):
