@@ -417,7 +417,14 @@ def columns_in_chain_order(I, D):
     return tuple(sorted(tuple(g[c[0]] for c in D.chains) for g in I.gens))
 
 
+# the edges of a 5-cycle: no variable's edges all hold another
+FIVE_CYCLE = MonomialIdeal.from_gens(
+    Ring([f"x{i}" for i in range(5)]),
+    [tuple(int(j in (i, (i + 1) % 5)) for j in range(5)) for i in range(5)])
+
+
 @given(squarefree_ideals())
+@example(FIVE_CYCLE)
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
@@ -430,17 +437,8 @@ def test_one_variable_chains_keep_the_columns(I):
         D = depolarize(I)
         assert all(len(c) == 1 for c in D.chains)
         assert D.ideal.gens == columns_in_chain_order(I, D)
-
-
-def test_cycle_depolarizes_to_its_columns():
-    # the edges of a 5-cycle: no variable's edges all hold another
-    R = Ring([f"x{i}" for i in range(5)])
-    I = MonomialIdeal.from_gens(R, [tuple(int(j in (i, (i + 1) % 5))
-                                          for j in range(5))
-                                    for i in range(5)])
-    assert not depolarization._joins_variables(I)
-    for partition in (None, "singleton"):
-        D = depolarize(I, partition)
+    if I is FIVE_CYCLE:
+        assert not depolarization._joins_variables(I)
         assert D.chains == tuple((i,) for i in range(5))
         assert D.ideal.gens == I.gens
 
