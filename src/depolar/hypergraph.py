@@ -117,6 +117,21 @@ def rows_to_words(rows):
     return packed.view("<u8").astype(np.uint64).T
 
 
+def columns_to_words(rows):
+    """(W, n) uint64 array of the columns of an (N, n) bool or 0/1 uint8
+    array: bit r of column i is row r, W = width(N).  Each byte gathers 8
+    rows by shift-or over whole rows, so no transposed copy is made."""
+    rows = np.asarray(rows).view(np.uint8)
+    n = rows.shape[1]
+    W = width(len(rows))
+    packed = np.zeros((8 * W, n), dtype=np.uint8)
+    for k in range(8):
+        part = rows[k::8]
+        packed[:len(part)] |= part << k
+    words = packed.reshape(W, 8, n).transpose(0, 2, 1).copy().view("<u8")
+    return words.reshape(W, n).astype(np.uint64, copy=False)
+
+
 def words_to_rows(arr, n):
     """(N, n) uint8 0/1 rows of the columns of a (W, N) array, the inverse
     of rows_to_words: slot s is column s."""
@@ -231,12 +246,12 @@ def popcounts(arr):
 
 
 def _contains(cand, keep):
-    """Boolean (len(cand), len(keep)): column j of keep is a subset of
-    column i of cand, tested word by word."""
-    out = (cand[0][:, None] & keep[0]) == keep[0]
+    """Boolean (cand.shape[1], keep.shape[1]): column j of keep is a subset
+    of column i of cand, that is no word of it has a bit outside cand's."""
+    out = keep[0] & ~cand[0][:, None]
     for w in range(1, len(cand)):
-        out &= (cand[w][:, None] & keep[w]) == keep[w]
-    return out
+        out |= keep[w] & ~cand[w][:, None]
+    return out == 0
 
 
 # words tested in one pass of _contains; its temporaries stay near 32 MB
@@ -300,20 +315,19 @@ def is_antichain(arr):
 def single_bits(arr):
     """(W, N, K) masks of the set bits of the columns of a (W, N) array, one
     bit each: column j's bits first, word 0 up and low to high in a word,
-    then empty masks; K is the largest popcount, at least 1.  Each word
-    gives up its lowest bit, x & -x, once per bit it has."""
+    then empty masks; K is the largest popcount, at least 1.  The bits are
+    read off the nonzero bytes alone, in that order, ranked within their
+    column and written in one scatter."""
     W, N = arr.shape
-    count = np.array([_popcount(word) for word in arr], dtype=np.int64)
-    at = np.cumsum(count, axis=0) - count
-    out = np.zeros((W, N, max(1, int(count.sum(axis=0).max(initial=0)))),
-                   dtype=np.uint64)
-    for w in range(W):
-        x = arr[w].copy()
-        for i in range(int(count[w].max(initial=0))):
-            low = x & -x
-            x ^= low
-            has = np.flatnonzero(count[w] > i)
-            out[w, has, at[w, has] + i] = low[has]
+    data = np.ascontiguousarray(arr.T, dtype="<u8").view(np.uint8)
+    col, byte = np.nonzero(data)
+    at, bit = np.nonzero(np.unpackbits(data[col, byte][:, None], axis=1,
+                                       bitorder="little"))
+    col, slot = col[at], 8 * byte[at] + bit
+    count = np.bincount(col, minlength=N)
+    rank = np.arange(len(col)) - (np.cumsum(count) - count)[col]
+    out = np.zeros((W, N, max(1, int(count.max(initial=0)))), dtype=np.uint64)
+    out[slot >> 6, col, rank] = np.uint64(1) << (slot & 63).astype(np.uint64)
     return out
 
 

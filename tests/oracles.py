@@ -286,14 +286,55 @@ def ordered_support_poset(I):
                                  for g in _squarefree_gens(I)])
 
 
+def holders(poset, i):
+    """The generators of a SupportPoset that hold variable i."""
+    return {k for k, x in enumerate(poset.incidence[:, i].tolist()) if x}
+
+
 def precedes(poset, i, j):
     """Whether variable i precedes j in a SupportPoset: every generator
     holding j holds i, and i comes first in the ring when the two are held
     by the same generators."""
-    rows = poset.incidence.tolist()
-    holds_i = {k for k, row in enumerate(rows) if row[i]}
-    holds_j = {k for k, row in enumerate(rows) if row[j]}
+    holds_i, holds_j = holders(poset, i), holders(poset, j)
     return holds_j <= holds_i and (holds_j != holds_i or i < j)
+
+
+def kuhn_chain_partition(poset):
+    """Minimum chain partition by plain Kuhn matching.  Variables held by
+    the same generators form a group, in ring order, and groups are
+    numbered by their first variable; group b is a successor of group a
+    when a's first variable precedes b's.  Augmenting paths are searched
+    by recursion from each group in turn, successors tried in order, and
+    each unmatched group starts a chain of its matched successors."""
+    groups = {}
+    for i in poset.elements:
+        groups.setdefault(frozenset(holders(poset, i)), []).append(i)
+    members = list(groups.values())
+    succ = [[b for b in range(len(members))
+             if b != a and precedes(poset, members[a][0], members[b][0])]
+            for a in range(len(members))]
+    match = [None] * len(members)  # match[b]: the group in front of b
+
+    def augment(a, seen):
+        for b in succ[a]:
+            if b not in seen:
+                seen.add(b)
+                if match[b] is None or augment(match[b], seen):
+                    match[b] = a
+                    return True
+        return False
+
+    for a in range(len(members)):
+        augment(a, set())
+    chains = []
+    for start in range(len(members)):
+        if match[start] is None:
+            chain, k = [], start
+            while k is not None:
+                chain += members[k]
+                k = match.index(k) if k in match else None
+            chains.append(tuple(chain))
+    return tuple(chains)
 
 
 def is_chain(poset, seq):

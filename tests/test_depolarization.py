@@ -2,6 +2,7 @@ import ast
 import inspect
 import sys
 import time
+import tracemalloc
 from functools import partial
 from unittest.mock import patch
 
@@ -12,11 +13,13 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 import oracles
 from depolar import (Depolarization, InputError, MonomialIdeal, Ring,
-                     depolarize, min_chain_partition, polarize_ideal,
-                     singleton_partition, validate_depolarization)
+                     SupportPoset, depolarize, min_chain_partition,
+                     polarize_ideal, singleton_partition,
+                     validate_depolarization)
 from depolar import depolarization
 from depolar.duality import alexander_dual_ideal, repolarize_dual
 from depolar.families import gen_power_ideal
+from depolar.hypergraph import columns_to_words, rows_to_words
 
 # the running 10-variable example: P(<x^3 y, y z^3, x^2 y^3 z^2 t, z^3 t>)
 # transported to plain variables x1..x10
@@ -121,9 +124,9 @@ def test_chain_partitions_brute_force():
 
 @pytest.mark.parametrize("block", [1, 6, 40, 1 << 22])
 def test_successors_in_blocks(monkeypatch, block):
-    # the successor lists do not depend on how the products are blocked:
-    # blocks of one row or column, a few of each, and one block
-    monkeypatch.setattr(depolarization, "_BLOCK", block)
+    # the successor lists do not depend on how the containment order is
+    # blocked: blocks of one row, a few rows, and one block
+    monkeypatch.setattr(depolarization, "_ORDER_PASS", block)
     rng = np.random.default_rng(block)
     cols = rng.random((12, 30)) < 0.5
     cols = cols[np.unique(cols, axis=0, return_index=True)[1]]
@@ -132,7 +135,67 @@ def test_successors_in_blocks(monkeypatch, block):
     want = [[b for b in range(len(cols))
              if (cols[b] <= cols[a]).all() and cols[b].sum() < cols[a].sum()]
             for a in range(len(cols))]
-    assert depolarization._successors(cols) == want
+    inside = depolarization._inside(rows_to_words(cols))
+    assert [np.flatnonzero(row).tolist() for row in inside] == want
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (0, 3)], ids="{0[0]}x{0[1]}".format)
+def test_min_chain_partition_of_empty_posets(shape):
+    # no variable lies in a generator: there is nothing to cover
+    ring = Ring([f"x{i}" for i in range(shape[1])])
+    poset = SupportPoset(ring, np.zeros(shape, dtype=bool))
+    assert poset.elements == ()
+    assert min_chain_partition(poset) == singleton_partition(poset) == ()
+
+
+@st.composite
+def wide_posets(draw):
+    """Support posets on up to 80 generators and 80 variables, so that the
+    packed columns and rows take one or two words.  Each column is a new
+    random set of generators, a subset or a copy of an earlier column, or
+    empty, so chains, equal columns and unused variables all occur."""
+    N = draw(st.integers(0, 80))
+    n = draw(st.integers(1, 80))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("new", "subset", "copy", "empty")
+                                    if cols else ("new", "empty")))
+        mask = draw(st.integers(0, (1 << N) - 1))
+        if kind in ("subset", "copy"):
+            mask = cols[draw(st.integers(0, len(cols) - 1))] & (
+                mask if kind == "subset" else -1)
+        cols.append(mask if kind != "empty" else 0)
+    incidence = np.array([[c >> r & 1 for c in cols] for r in range(N)],
+                         dtype=bool).reshape(N, n)
+    return SupportPoset(Ring([f"x{i}" for i in range(n)]), incidence)
+
+
+@given(wide_posets())
+# 71 generators and 140 variables in two chains of 70
+@example(oracles.ordered_support_poset(
+    polarize_ideal(gen_power_ideal(2, 70))[0]))
+# 66 generators and 30 variables in three chains of 10
+@example(oracles.ordered_support_poset(
+    polarize_ideal(gen_power_ideal(3, 10))[0]))
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+def test_min_chain_partition_is_kuhn(poset):
+    # the same chains, in the same order, as plain Kuhn matching on
+    # explicit successor lists
+    assert min_chain_partition(poset) == oracles.kuhn_chain_partition(poset)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (8, 5), (63, 2), (64, 7),
+                                   (65, 3), (200, 9)],
+                         ids="{0[0]}x{0[1]}".format)
+def test_columns_to_words_packs_each_column(shape):
+    # the columns of the rows are the rows of their transpose
+    rows = np.random.default_rng(shape[0]).random(shape) < 0.4
+    want = (rows_to_words(rows.T) if shape[0]
+            else np.zeros((1, shape[1]), dtype=np.uint64))
+    assert np.array_equal(columns_to_words(rows), want)
+    assert np.array_equal(columns_to_words(rows.view(np.uint8)), want)
 
 
 def test_depolarize_golden_partitions():
@@ -407,7 +470,7 @@ def squarefree_ideals(draw):
                                  HealthCheck.filter_too_much])
 def test_joins_variables_is_exact(I, block):
     # blocks of one row, a few rows, and one block
-    with patch.object(depolarization, "_BLOCK", block):
+    with patch.object(depolarization, "_ORDER_PASS", block):
         joins = depolarization._joins_variables(I)
     assert joins == (len(depolarize(I).chains) < I.n)
 
@@ -457,6 +520,21 @@ def test_long_chain_depolarizes_fast_without_recursion():
     assert len(D.chains) == 2
     assert D.ideal.gens == ((0, 1), (10000, 0))
     assert elapsed < 1.0
+
+
+def test_wide_polarization_depolarizes_in_little_memory():
+    # m^(2,1000): 2000 variables on 1001 generators, 16 words a column,
+    # in two chains; the order of its 2000 groups is a 4 MB bool matrix
+    P = polarize_ideal(gen_power_ideal(2, 1000))[0]
+    tracemalloc.start()
+    try:
+        D = depolarize(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.ideal.gens == gen_power_ideal(2, 1000).gens
+    assert len(D.chains) == 2
+    assert peak < 24 * 2 ** 20
 
 
 def test_no_function_in_depolarization_calls_itself():

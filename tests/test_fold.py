@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from depolar import hypergraph
 from depolar.families import gen_jknm
-from depolar.hypergraph import _dual_plan, _fold, alexander_dual_ideal
+from depolar.hypergraph import (_dual_plan, _fold, alexander_dual_ideal,
+                                bits_of, from_words, single_bits, to_words)
 from depolar.ideals import MonomialIdeal, ResourceLimit, Ring
 from depolar.polarization import polarize_ideal
 
@@ -303,3 +304,18 @@ def test_reach_bound_prunes_the_killer_test(monkeypatch):
     D = alexander_dual_ideal(jknm8_polarization())
     assert D._count() == 8113
     assert sum(pairs) <= 2_500_000
+
+
+@given(st.integers(1, 3).flatmap(lambda W: st.tuples(st.just(W), st.lists(
+    st.integers(0, (1 << 64 * W) - 1), max_size=12))))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_single_bits_lists_each_bit(case):
+    # one mask per set bit, low to high over the words, then empty masks
+    W, masks = case
+    out = single_bits(to_words(masks, W))
+    K = max([1] + [len(bits_of(m)) for m in masks])
+    assert out.shape == (W, len(masks), K)
+    want = [[1 << b for b in bits_of(m)] + [0] * (K - len(bits_of(m)))
+            for m in masks]
+    got = from_words(out.reshape(W, -1))
+    assert [got[j * K:(j + 1) * K] for j in range(len(masks))] == want
